@@ -18,10 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-import numpy as np
-
 from .errors import (
-    CapExceeded,
     NotOnCurve,
     OrderThreePoint,
     PointNotOnCurve,
@@ -31,7 +28,6 @@ from .errors import (
 )
 from .field import Fe, Field
 
-CUBIC_M_CAP = 10          # exhaustive cubic solving walks the whole field
 SAMPLE_POINT_CAP = 10_000
 GENERATOR_CANDIDATE_CAP = 256
 
@@ -147,43 +143,37 @@ def div3_obstruction(params: CurveParams, xi: Fe) -> int:
 
 
 def solve_tripling_cubic(params: CurveParams, xi: Fe) -> list:
-    """All x with 3(x, *) having x-coordinate xi, i.e. the roots of
-    x^3 - xi^{1/3} x^2 + (a(1 - xi))^{1/3} x - (a^2 (a + xi))^{1/3}.
+    """All x with 3(x, *) having x-coordinate xi, sorted by code: the
+    distinct roots of P(x) = x^3 + c2 x^2 + c1 x + c0 with c2 = -xi^{1/3},
+    c1 = (a(1 - xi))^{1/3}, c0 = -(a^2 (a + xi))^{1/3}; [] when the point
+    is not 3-divisible.  Char 3 kills the cross term, so
+    P(t + y) = P(t) + y^3 + c2 y^2 + (2 c2 t + c1) y, and one F_3-linear
+    solve (Field.solve_linearized) finds the roots:
 
-    Root-finding is exhaustive over the field; returns [] when the point
-    is not 3-divisible, otherwise the distinct roots sorted by code (three
-    of them, except at an order-2 point xi where two preimages share an
-    x-coordinate and only two distinct roots exist).
+      c2 = 0:  x^3 + c1 x = -c0 is linear in x.
+      c2 != 0: t = c1 / c2 kills the y term; d = P(t).  If d = 0 the roots
+               are t and t - c2 (an order-2 point xi: two preimages share
+               an x-coordinate).  Else y = 1/z gives z^3 + (c2/d) z = -1/d
+               and the roots are t + 1/z.
     """
     field = params.field
-    if field.m > CUBIC_M_CAP:
-        raise CapExceeded(f"exhaustive cubic solving capped at m <= {CUBIC_M_CAP}")
     if not rhs(params, xi).is_square():
         raise NotOnCurve(f"{xi} is not the x-coordinate of a point on E(a)")
     a = params.a
     c2 = -(xi.cube_root())
     c1 = (a * (1 - xi)).cube_root()
     c0 = -((a ** 2 * (a + xi)).cube_root())
-    if field.exp is not None:
-        codes = np.arange(field.q, dtype=np.int64)
-        val = field.add_codes(field.pow_codes(codes, 3), np.int64(c0.code))
-        val = field.add_codes(val, field.mul_codes(field.pow_codes(codes, 2),
-                                                   np.int64(c2.code)))
-        val = field.add_codes(val, field.mul_codes(codes, np.int64(c1.code)))
-        return [field.el(int(c)) for c in np.nonzero(val == 0)[0]]
-    roots = [
-        x for x in field.elements()
-        if not (((x + c2) * x + c1) * x + c0)
-    ]
+    if not c2:
+        roots = field.solve_linearized(c1, -c0)
+    else:
+        t = c1 / c2
+        d = ((t + c2) * t + c1) * t + c0
+        if not d:
+            roots = [t, t - c2]
+        else:
+            dinv = d.inv()
+            roots = [t + z.inv() for z in field.solve_linearized(c2 * dinv, -dinv)]
     return sorted(roots, key=lambda e: e.code)
-
-
-def lift_x(params: CurveParams, x: Fe) -> Point:
-    """One affine point with the given x-coordinate (NotOnCurve if none)."""
-    f = rhs(params, x)
-    if not f.is_square():
-        raise NotOnCurve(f"{x} is not the x-coordinate of a point on E(a)")
-    return Point(x, f.sqrt())
 
 
 def sample_point(params: CurveParams, rng: random.Random) -> Point:

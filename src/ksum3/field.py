@@ -19,6 +19,7 @@ optional for moduli).
 from __future__ import annotations
 
 import random
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -48,16 +49,6 @@ def _trim(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_add(a: Sequence[int], b: Sequence[int]) -> list:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % 3
-    return _trim(out)
 
 
 def _poly_sub(a: Sequence[int], b: Sequence[int]) -> list:
@@ -103,10 +94,8 @@ def _poly_gcd(a: Sequence[int], b: Sequence[int]) -> list:
     a, b = list(a), list(b)
     while b:
         # make b monic before reducing
-        lead = b[-1]
-        if lead != 1:
-            inv = 1 if lead == 1 else 2  # inverse of 2 mod 3 is 2
-            b = [(c * inv) % 3 for c in b]
+        if b[-1] == 2:  # 2 is its own inverse mod 3
+            b = [(2 * c) % 3 for c in b]
         a, b = b, _poly_mod(a, b)
     return a
 
@@ -160,10 +149,12 @@ def is_irreducible(modulus: Sequence[int]) -> bool:
     return True
 
 
-def solve_linear_mod3(rows: list, rhs: Sequence[int]) -> Optional[list]:
-    """One solution of the F_3 linear system rows * v = rhs, or None.
+def solve_linear_mod3(rows: list, rhs: Sequence[int]) -> Optional[tuple]:
+    """Solve the F_3 linear system rows * v = rhs: (v, kernel), or None.
 
-    Free variables are set to zero, so the answer is deterministic.
+    v has every free variable set to zero, so the answer is deterministic.
+    kernel is a basis of the null space, one vector per free variable
+    (that variable 1, the other free ones 0), in column order.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -177,10 +168,11 @@ def solve_linear_mod3(rows: list, rhs: Sequence[int]) -> Optional[list]:
         a[row], a[piv] = a[piv], a[row]
         if a[row][col] == 2:
             a[row] = [(2 * c) % 3 for c in a[row]]
+        prow = a[row]
         for r in range(nrows):
-            if r != row and a[r][col]:
-                fac = a[r][col]
-                a[r] = [(a[r][i] - fac * a[row][i]) % 3 for i in range(ncols + 1)]
+            fac = a[r][col]
+            if r != row and fac:
+                a[r] = [(c - fac * p) % 3 for c, p in zip(a[r], prow)]
         pivots.append(col)
         row += 1
         if row == nrows:
@@ -191,7 +183,14 @@ def solve_linear_mod3(rows: list, rhs: Sequence[int]) -> Optional[list]:
     v = [0] * ncols
     for r, col in enumerate(pivots):
         v[col] = a[r][ncols]
-    return v
+    kernel = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        k = [0] * ncols
+        k[free] = 1
+        for r, col in enumerate(pivots):
+            k[col] = -a[r][free] % 3
+        kernel.append(k)
+    return v, kernel
 
 
 def _factor_group_order(n: int) -> Optional[list]:
@@ -241,7 +240,6 @@ class Field:
             raise ReducibleModulus(f"modulus {modulus} factors over F_3")
         self.m = m
         self.q = 3 ** m
-        self.order = self.q
         self.modulus = modulus
         self._pow3 = [3 ** i for i in range(m + 1)]
         self.group_factors = _factor_group_order(self.q - 1)
@@ -277,18 +275,14 @@ class Field:
         return result
 
     def _trace_basis(self) -> list:
-        """tr_basis[i] = Tr(alpha^i) in {0,1,2}; trace is F_3-linear."""
-        out = []
-        for j in range(self.m):
-            t = [0] * j + [1]
-            acc = list(t)
-            cur = list(t)
-            for _ in range(self.m - 1):
-                cur = _poly_mod(_poly_mul(_poly_mul(cur, cur), cur), self.modulus)
-                acc = _poly_add(acc, cur)
-            assert len(acc) <= 1, "trace landed outside the prime field"
-            out.append(acc[0] if acc else 0)
-        return out
+        """tr_basis[j] = Tr(alpha^j) in {0,1,2}; trace is F_3-linear.  These
+        are the power sums of the roots of the modulus f, from Newton's
+        identities p_k = -(k f_{m-k} + sum_{i<k} f_{m-i} p_{k-i})."""
+        f, m = self.modulus, self.m
+        p = [m % 3]
+        for k in range(1, m):
+            p.append(-(k * f[m - k] + sum(f[m - i] * p[k - i] for i in range(1, k))) % 3)
+        return p
 
     def _build_tables(self):
         m, q = self.m, self.q
@@ -300,18 +294,11 @@ class Field:
         exp = np.empty(q - 1, dtype=np.int64)
         coeffs = [0] * m
         coeffs[0] = 1
-        mod_low = self.modulus[:m]
         by_alpha = gen == [0, 1]
         for i in range(q - 1):
             exp[i] = self._encode(coeffs)
             if by_alpha:
-                top = coeffs[m - 1]
-                if top:
-                    coeffs = [(-top * mod_low[0]) % 3] + [
-                        (coeffs[k - 1] - top * mod_low[k]) % 3 for k in range(1, m)
-                    ]
-                else:
-                    coeffs = [0] + coeffs[: m - 1]
+                coeffs = self._times_alpha(coeffs)
             else:
                 nxt = _poly_mod(_poly_mul(coeffs, gen), self.modulus)
                 coeffs = list(nxt) + [0] * (m - len(nxt))
@@ -419,17 +406,6 @@ class Field:
             p *= 3
         return res
 
-    def neg_codes(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        res = np.zeros_like(a)
-        p = 1
-        pa = a.copy()
-        for _ in range(self.m):
-            res += ((3 - pa % 3) % 3) * p
-            pa //= 3
-            p *= 3
-        return res
-
     def mul_codes(self, a, b):
         if self.log is None:
             raise CapExceeded("vectorized path needs exp/log tables (q <= 3^13)")
@@ -507,28 +483,57 @@ class Field:
     def modulus_string(self) -> str:
         return "t:" + "".join(str(c) for c in self.modulus)
 
+    def _times_alpha(self, coeffs: list) -> list:
+        """The m coefficients of alpha * x, from the m coefficients of x."""
+        top = coeffs[-1]
+        if not top:
+            return [0] + coeffs[:-1]
+        mod = self.modulus
+        return [(-top * mod[0]) % 3] + [
+            (coeffs[k - 1] - top * mod[k]) % 3 for k in range(1, self.m)
+        ]
+
+    @cached_property
+    def _frobenius_columns(self) -> list:
+        """Coefficients of alpha^{3j} for j = 0..m-1: the matrix of x -> x^3."""
+        cols = [[1] + [0] * (self.m - 1)]
+        for _ in range(self.m - 1):
+            cols.append(self._times_alpha(self._times_alpha(self._times_alpha(cols[-1]))))
+        return cols
+
+    def solve_linearized(self, c, r) -> list:
+        """All x in the field with x^3 + c x = r (c and r elements or ints).
+
+        x -> x^3 + c x is F_3-linear, so the solutions are the particular
+        one x0 (free variables zero) plus the kernel, which is {0} or
+        {0, k, 2k}: [] when there is none, else [x0] or [x0, x0 + k, x0 + 2k].
+        """
+        c, r = self.zero + c, self.zero + r   # ints coerce, foreign elements raise
+        cols, col = [], list(c.coeffs)         # column j: image of alpha^j
+        for frob in self._frobenius_columns:
+            cols.append([(u + v) % 3 for u, v in zip(frob, col)])
+            col = self._times_alpha(col)
+        sol = solve_linear_mod3(list(zip(*cols)), r.coeffs)
+        if sol is None:
+            return []
+        v, kernel = sol
+        xs = [self._encode(v)]
+        for k in kernel:
+            k = self._encode(k)
+            xs = [self.code_add(x, self.code_mul(e, k)) for e in range(3) for x in xs]
+        return [Fe(self, x) for x in xs]
+
     def solve_artin_schreier(self, a: "Fe") -> list:
-        """All w in the field with w^3 - w = a.
+        """All w in the field with w^3 - w = a, as [w, w + 1, w + 2].
 
         The map w -> w^3 - w is F_3-linear with kernel F_3, so there are
         either no solutions (trace(a) != 0) or exactly three differing by
         prime-field constants.
         """
-        self._check(a)
-        rows = [[0] * self.m for _ in range(self.m)]
-        for j in range(self.m):
-            basis = [0] * j + [1]
-            img = _poly_sub(
-                _poly_mod(_poly_mul(_poly_mul(basis, basis), basis), self.modulus), basis
-            )
-            img = list(img) + [0] * (self.m - len(img))
-            for i in range(self.m):
-                rows[i][j] = img[i]
-        sol = solve_linear_mod3(rows, list(a.coeffs))
-        if sol is None:
+        ws = self.solve_linearized(-1, a)
+        if not ws:
             raise NoSolution(f"trace({a}) != 0, w^3 - w = a unsolvable")
-        w = self.from_coeffs(sol)
-        return [w, w + 1, w + 2]
+        return ws
 
     def _check(self, x: "Fe") -> None:
         if not self.same(x.field):
@@ -727,9 +732,6 @@ class Fe:
 # ---------------------------------------------------------------------------
 # cached field constructors
 # ---------------------------------------------------------------------------
-
-from functools import lru_cache
-
 
 @lru_cache(maxsize=None)
 def _cached_field(m: int, modulus: tuple) -> Field:

@@ -59,7 +59,7 @@ class Embedding:
         sol = solve_linear_mod3(rows, list(x.coeffs))
         if sol is None:
             raise NoRootFound(f"{x} is not in the embedded base field")
-        return self.base.from_coeffs(sol)
+        return self.base.from_coeffs(sol[0])
 
 
 def _find_root(base: Field, ext: Field) -> Fe:

@@ -122,7 +122,7 @@ def div27(field: Field, a: Fe) -> bool:
     is raised).  The predicate Tr(z^5 (z-1)(z+1)^7 / (z^2+1)^3) = 0 is
     evaluated for all three choices of z, which must agree; degenerate z
     (z^2 + 1 = 0, or x_1 = 0) falls back to the 3-divisibility
-    obstruction at x_1, or to the tripling walk as a last resort.
+    obstruction at x_1, or to the descent as a last resort.
     """
     field._check(a)
     if not a:
@@ -151,7 +151,7 @@ def div27(field: Field, a: Fe) -> bool:
     for x1 in fallbacks:
         if x1:
             return div3_obstruction(params, x1) == 0
-    return kval(params).k >= 3
+    return descent(params).t >= 3
 
 
 @dataclass

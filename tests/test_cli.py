@@ -119,6 +119,14 @@ def test_descent_default_policy_linear():
     assert text.count("label=") == 7
 
 
+def test_descent_m40_custom_modulus():
+    modulus = "t:21" + "0" * 38 + "1"
+    code, text = run(["--m", "40", "--modulus", modulus, "--a", "t:" + "1021" * 10, "descent"])
+    assert code == 0
+    assert text.startswith("digraph descent {")
+    assert text.rstrip().endswith("}")
+
+
 # ---------------------------------------------------------------------------
 # tower
 # ---------------------------------------------------------------------------

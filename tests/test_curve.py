@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from ksum3 import curve, errors, oracle
@@ -216,6 +217,53 @@ def test_cubic_solvable_iff_obstruction_vanishes(m):
                     assert len(roots) == 3
             for r in roots:
                 assert curve.triple_x(params, r) == x
+
+
+def brute_cubic_roots(f, a, xis):
+    """For each xi in xis, the codes of every x with P(x) = 0, where P is
+    the division cubic at xi: the cubic is evaluated at the whole field
+    with table arithmetic, independently of the linear solver."""
+    x = np.arange(f.q, dtype=np.int64)[None, :]
+    xi = np.asarray(xis, dtype=np.int64)[:, None]
+
+    def cube_root(v):
+        return f.pow_codes(v, 3 ** (f.m - 1))
+
+    def neg(v):
+        return f.mul_codes(v, 2)
+
+    c2 = neg(cube_root(xi))
+    c1 = cube_root(f.mul_codes(a.code, f.add_codes(1, neg(xi))))
+    c0 = neg(cube_root(f.mul_codes(f.pow_codes(a.code, 2), f.add_codes(a.code, xi))))
+    p = f.add_codes(f.mul_codes(f.add_codes(f.mul_codes(f.add_codes(x, c2), x), c1), x), c0)
+    return [[int(c) for c in np.flatnonzero(row == 0)] for row in p]
+
+
+def check_cubic_against_brute_force(f, a, xis):
+    params = CurveParams.make(f, a)
+    for code, want in zip(xis, brute_cubic_roots(f, a, xis)):
+        xi = f.el(code)
+        if not curve.rhs(params, xi).is_square():
+            with pytest.raises(errors.NotOnCurve):
+                curve.solve_tripling_cubic(params, xi)
+            continue
+        got = [r.code for r in curve.solve_tripling_cubic(params, xi)]
+        assert got == want, f"a={a.trit_str} xi={xi.trit_str}"
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_cubic_roots_match_brute_force_exhaustive(m):
+    f = get_field(m)
+    for a in f.nonzero_elements():
+        check_cubic_against_brute_force(f, a, range(f.q))
+
+
+def test_cubic_roots_match_brute_force_sampled_m6():
+    f = get_field(6)
+    rng = random.Random(6)
+    for _ in range(25):
+        a = f.el(rng.randrange(1, f.q))
+        check_cubic_against_brute_force(f, a, [rng.randrange(f.q) for _ in range(40)])
 
 
 # ---------------------------------------------------------------------------

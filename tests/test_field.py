@@ -19,7 +19,7 @@ def test_default_m5_modulus_is_valid_and_primitive(f5):
     assert f5.m == 5
     assert f5.modulus == (1, 0, 1, 0, 1, 1)
     assert f5.alpha_primitive
-    assert f5.order == 243
+    assert f5.q == 243
 
 
 def test_x_squared_is_reducible():
@@ -141,6 +141,20 @@ def test_trace_class_sizes(m):
     assert counts == [f.q // 3] * 3
 
 
+@pytest.mark.parametrize("m, modulus", [(m, None) for m in range(2, 13)]
+                         + [(40, "t:21" + "0" * 38 + "1")])
+def test_trace_of_basis_is_sum_of_conjugates(m, modulus):
+    # reference for the trace basis: Tr(x) = x + x^3 + ... + x^(3^(m-1))
+    f = get_field(m, modulus)
+    for j in range(m):
+        x = f.alpha ** j
+        acc = x
+        for _ in range(m - 1):
+            x = x ** 3
+            acc = acc + x
+        assert acc.code == (f.alpha ** j).trace()  # acc lies in F_3
+
+
 @given(st.data())
 def test_trace_additive_and_frobenius_invariant(f5, data):
     x = f5.el(data.draw(codes(f5)))
@@ -226,6 +240,20 @@ def test_artin_schreier_solvable_iff_trace_zero(m):
         else:
             with pytest.raises(errors.NoSolution):
                 f.solve_artin_schreier(a)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_solve_linearized_against_brute_force(m):
+    f = get_field(m)
+    for c in f.elements():
+        image = {}
+        for x in f.elements():
+            image.setdefault((x ** 3 + c * x).code, []).append(x.code)
+        for r in f.elements():
+            xs = f.solve_linearized(c, r)
+            assert sorted(x.code for x in xs) == image.get(r.code, [])
+            if len(xs) == 3:  # [x0, x0 + k, x0 + 2 k]
+                assert xs[2] - xs[1] == xs[1] - xs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,53 @@ def test_descent_depth_equals_valuation(m):
         assert valuation.descent(params).t == valuation.kval(params, rng).k
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_descent_depth_equals_oracle_exhaustive(m):
+    f = get_field(m)
+    for a in f.nonzero_elements():
+        expected = oracle.val3(oracle.kloosterman_sum(f, a).value, m)
+        assert valuation.descent(CurveParams.make(f, a)).t == expected, a.trit_str
+
+
+@pytest.mark.parametrize("m", [11, 12])
+def test_descent_depth_equals_oracle_sampled(m):
+    # half uniform a, half a = w^3 - w (trace zero, so 9 | K(a)) to reach
+    # deeper levels
+    f = get_field(m)
+    rng = random.Random(m)
+    ws = [f.el(rng.randrange(1, f.q)) for _ in range(8)]
+    for a in [f.el(rng.randrange(1, f.q)) for _ in range(8)] + [w ** 3 - w for w in ws]:
+        if not a:
+            continue
+        expected = oracle.val3(oracle.kloosterman_sum(f, a).value, m)
+        assert valuation.descent(CurveParams.make(f, a)).t == expected, a.trit_str
+
+
+M40_MODULUS = "t:21" + "0" * 38 + "1"
+
+
+def test_descent_m40_roots_check_by_tripling():
+    """At m = 40, past every table and the old exhaustive cap: each child
+    triples to its parent, an expanded node has children iff its
+    3-divisibility obstruction vanishes, and the depth agrees with the
+    divisibility tests by 9 and 27."""
+    f = get_field(40, M40_MODULUS)
+    rng = random.Random(40)
+    ws = [f.el(rng.randrange(1, f.q)) for _ in range(2)]
+    for a in [f.el(rng.randrange(1, f.q)) for _ in range(2)] + [w ** 3 - w for w in ws]:
+        params = CurveParams.make(f, a)
+        g = valuation.descent(params)
+        parents = {parent.code for parent, _ in g.edges}
+        for parent, child in g.edges:
+            assert curve.triple_x(params, child) == parent
+        for level in g.levels:
+            node = level[0]
+            assert (node.code in parents) == (curve.div3_obstruction(params, node) == 0)
+        assert (g.t >= 2) == valuation.div9(f, a)
+        if g.t >= 2:
+            assert (g.t >= 3) == valuation.div27(f, a)
+
+
 def test_descent_dot_output(params31):
     dot = valuation.descent(params31, full=True).to_dot()
     assert dot.startswith("digraph descent {")
