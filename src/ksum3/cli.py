@@ -1,9 +1,10 @@
 """Command-line frontend.
 
 Global flags pick the field, element and run configuration; a subcommand
-picks the computation.  Default output is json-lines (one record per
-line); `--output table` renders aligned columns; `descent` always emits
-DOT.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+picks the computation.  `--output` is `json` (the default: json-lines,
+one record per line) or `table` (aligned columns); `descent` ignores it
+and always emits DOT.  Exit codes: 0 success, 1 verification failure,
+2 usage error.
 
 Examples:
     ksum3 --m 5 --a p:31 ksum
@@ -27,8 +28,8 @@ from typing import List, Optional
 from . import verify as verify_mod
 from .curve import CurveParams
 from .errors import Ksum3Error
-from .field import Fe, Field, get_field
-from .oracle import ORACLE_M_CAP, kloosterman_sum, val3
+from .field import TABLE_CAP, Fe, Field, get_field
+from .oracle import kloosterman_sum, val3
 from .tower import lifting_law_check
 from .valuation import descent, kval
 
@@ -100,7 +101,7 @@ def cmd_kval(args, field: Field, out) -> int:
 
 
 def cmd_scan(args, field: Field, out) -> int:
-    with_oracle = field.q <= args.oracle_cap and field.m <= ORACLE_M_CAP
+    with_oracle = field.q <= args.oracle_cap and field.exp is not None
 
     def run_range(lo: int, hi: int) -> List[dict]:
         recs = []
@@ -214,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", help="element, 't:<trits>' or 'p:<k>'")
     p.add_argument("--seed", type=int, default=0, help="global RNG seed")
     p.add_argument("--workers", type=int, default=1, help="scan partition count")
-    p.add_argument("--output", choices=["json", "table", "dot"], default="json")
-    p.add_argument("--oracle-cap", type=int, default=3 ** ORACLE_M_CAP,
+    p.add_argument("--output", choices=["json", "table"], default="json")
+    p.add_argument("--oracle-cap", type=int, default=TABLE_CAP,
                    help="largest field size the brute-force oracle may walk")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("ksum", help="brute-force Kloosterman sum K(a)")

@@ -123,10 +123,11 @@ def scalar_mul(params: CurveParams, n: int, p: Point) -> Point:
 def triple_x(params: CurveParams, u: Fe) -> Fe:
     """x-coordinate of 3P from x(P) = u: ((u^3 - a)^3 + a u^3) / (u^3 - a)^2."""
     a = params.a
-    d = u ** 3 - a
+    u3 = u ** 3
+    d = u3 - a
     if not d:
         raise OrderThreePoint("u^3 = a: 3P is the identity, no x-coordinate")
-    return (d ** 3 + a * u ** 3) / d ** 2
+    return (d ** 3 + a * u3) / d ** 2
 
 
 def div3_obstruction(params: CurveParams, xi: Fe) -> int:

@@ -6,8 +6,9 @@ with c_i multiplying x^i encodes to sum(c_i * 3^i).  The zero element is
 code 0, the unit is code 1, and the residue of x (called alpha) is code 3.
 
 Fields small enough (q <= 3^13) carry exp/log tables with respect to a
-multiplicative generator plus a trace table, which the brute-force oracle
-and the tower module use for vectorized numpy passes over whole fields.
+multiplicative generator plus a trace table: the brute-force oracle uses
+them for vectorized numpy passes over whole fields, and the tower module
+needs the generator.
 
 External string formats (bit-exact, shared with the CLI):
   "t:20100"  coefficient of x^0 first, m characters in {0,1,2}
@@ -23,7 +24,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from sympy import isprime
+from sympy import factorint
 
 from .errors import (
     CapExceeded,
@@ -38,7 +39,6 @@ from .errors import (
 
 M_CAP = 40            # orders of alpha must fit comfortably in machine-width ints
 TABLE_CAP = 3 ** 13   # largest field that gets exp/log/trace tables
-TRIAL_DIVISION_BOUND = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +83,6 @@ def _poly_mod(a: Sequence[int], f: Sequence[int]) -> list:
             for i, c in enumerate(f):
                 r[shift + i] = (r[shift + i] - top * c) % 3
         _trim(r)
-        if not r:
-            break
-        while r and r[-1] == 0:
-            r.pop()
     return r
 
 
@@ -193,25 +189,6 @@ def solve_linear_mod3(rows: list, rhs: Sequence[int]) -> Optional[tuple]:
     return v, kernel
 
 
-def _factor_group_order(n: int) -> Optional[list]:
-    """Prime factors of n by trial division plus a primality test on the
-    cofactor; None when the factorization is incomplete."""
-    primes = []
-    d = 2
-    while d * d <= n and d <= TRIAL_DIVISION_BOUND:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        if isprime(n):
-            primes.append(n)
-        else:
-            return None
-    return primes
-
-
 # ---------------------------------------------------------------------------
 # field and element types
 # ---------------------------------------------------------------------------
@@ -242,10 +219,8 @@ class Field:
         self.q = 3 ** m
         self.modulus = modulus
         self._pow3 = [3 ** i for i in range(m + 1)]
-        self.group_factors = _factor_group_order(self.q - 1)
-        self.alpha_primitive = False
-        if self.group_factors is not None:
-            self.alpha_primitive = self._order_is_full([0, 1])
+        self.group_factors = sorted(factorint(self.q - 1))
+        self.alpha_primitive = self._order_is_full([0, 1])
         # tables
         self.exp: Optional[np.ndarray] = None
         self.log: Optional[np.ndarray] = None
@@ -501,6 +476,11 @@ class Field:
             cols.append(self._times_alpha(self._times_alpha(self._times_alpha(cols[-1]))))
         return cols
 
+    @cached_property
+    def _non_residue(self) -> "Fe":
+        """The first non-square by ascending code, for Tonelli-Shanks."""
+        return next(e for e in self.nonzero_elements() if not e.is_square())
+
     def solve_linearized(self, c, r) -> list:
         """All x in the field with x^3 + c x = r (c and r elements or ints).
 
@@ -688,10 +668,8 @@ class Fe:
         while t % 2 == 0:
             t //= 2
             s += 1
-        # first non-residue by ascending code enumeration, deterministic
-        z = next(e for e in f.nonzero_elements() if not e.is_square())
         mexp = s
-        c = z ** t
+        c = f._non_residue ** t
         r = self ** ((t + 1) // 2)
         u = self ** t
         while u != f.one:

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import CapExceeded, ZeroParameter
 from .field import Fe, Field
 
-ORACLE_M_CAP = 13
 _CHUNK = 1 << 16
 
 
@@ -41,8 +40,8 @@ class KloostermanValue:
 
 
 def _require_tables(field: Field):
-    if field.m > ORACLE_M_CAP or field.exp is None:
-        raise CapExceeded(f"oracle capped at m <= {ORACLE_M_CAP} (needs field tables)")
+    if field.exp is None:
+        raise CapExceeded("oracle needs field tables (q <= 3^13)")
 
 
 def kloosterman_sum(field: Field, a: Fe, progress=None) -> KloostermanValue:
@@ -103,11 +102,3 @@ def val3(n: int, m: int) -> int:
         n //= 3
         k += 1
     return k
-
-
-def kloosterman_table(field: Field) -> dict:
-    """K(a).value for every a in F*, keyed by element code."""
-    return {
-        code: kloosterman_sum(field, field.el(code)).value
-        for code in range(1, field.q)
-    }

@@ -16,17 +16,12 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .curve import CurveParams
 from .errors import CapExceeded, NoRootFound
-from .field import Fe, Field, get_field, solve_linear_mod3
+from .field import TABLE_CAP, Fe, Field, get_field, solve_linear_mod3
 from .moduli import BUILTIN_MODULI
-from .oracle import ORACLE_M_CAP, kloosterman_sum, val3
+from .oracle import kloosterman_sum, val3
 from .valuation import is_kloosterman_zero, kval
-
-EXTENSION_M_CAP = 13          # largest m*n we build
-EXHAUSTIVE_ROOT_CAP = 3 ** 12
 
 
 @dataclass(frozen=True)
@@ -63,22 +58,13 @@ class Embedding:
 
 
 def _find_root(base: Field, ext: Field) -> Fe:
-    """Smallest-code root of the base modulus inside the extension."""
+    """Smallest-code root of the base modulus inside the extension.
+
+    Every root lies in the embedded copy of the base field, whose nonzero
+    elements are the powers of gamma = g^{(q_ext - 1)/(q_base - 1)} for a
+    generator g of the extension, so only those q_base - 1 are evaluated.
+    """
     mod = base.modulus
-    if ext.q <= EXHAUSTIVE_ROOT_CAP and ext.exp is not None:
-        codes = np.arange(ext.q, dtype=np.int64)
-        val = np.zeros(ext.q, dtype=np.int64)
-        for c in reversed(mod):  # Horner
-            val = ext.mul_codes(val, codes)
-            if c:
-                val = ext.add_codes(val, np.int64(c))
-        roots = np.nonzero(val == 0)[0]
-        if len(roots) == 0:
-            raise NoRootFound("base modulus has no root in the extension")
-        return ext.el(int(roots[0]))
-    # evaluate at the powers of a generator of the embedded base subfield
-    if ext.generator_code is None:
-        raise CapExceeded("extension too large for root search without tables")
     g = ext.el(ext.generator_code)
     gamma = g ** ((ext.q - 1) // (base.q - 1))
     best = None
@@ -106,8 +92,8 @@ def build_extension(
     if n < 2:
         raise CapExceeded("extension degree n must be >= 2")
     mn = base.m * n
-    if mn > EXTENSION_M_CAP:
-        raise CapExceeded(f"extension degree m*n = {mn} exceeds {EXTENSION_M_CAP}")
+    if 3 ** mn > TABLE_CAP:
+        raise CapExceeded(f"extension GF(3^{mn}) exceeds the table cap {TABLE_CAP}")
     if modulus is None:
         modulus = BUILTIN_MODULI.get(mn, "builtin")
     ext = get_field(mn, modulus)
@@ -147,7 +133,7 @@ def lifting_law_check(
     a: Fe,
     n: int,
     rng: Optional[random.Random] = None,
-    oracle_cap: int = 3 ** ORACLE_M_CAP,
+    oracle_cap: int = TABLE_CAP,
 ) -> TowerReport:
     """Compare the valuation of K_n(embed(a)) against H(a) + v3(n).
 
@@ -179,11 +165,9 @@ def k3_identity_check(base: Field, a: Fe) -> Tuple[int, int, int]:
     printed:   K^3 - 3 K^2 + 3 K - 3 q K
     variant:   (K - 1)^3 - 3 q (K - 1) + 1     (= printed + 3 q)
     """
-    if 3 * base.m > ORACLE_M_CAP:
-        raise CapExceeded("K_3 oracle needs 3m <= oracle cap")
+    ext, emb = build_extension(base, 3)
     K = kloosterman_sum(base, a).value
     q = base.q
-    ext, emb = build_extension(base, 3)
     K3 = kloosterman_sum(ext, emb(a)).value
     printed = K ** 3 - 3 * K ** 2 + 3 * K - 3 * q * K
     variant = (K - 1) ** 3 - 3 * q * (K - 1) + 1

@@ -56,7 +56,6 @@ def kval(
     params: CurveParams,
     rng: Optional[random.Random] = None,
     u1: Optional[Fe] = None,
-    max_attempts: int = 256,
 ) -> ValuationReport:
     """Valuation of K(a): run the tripling walk until it resolves.
 
@@ -69,7 +68,7 @@ def kval(
     if u1 is None:
         if rng is None:
             rng = random.Random(0)
-        u1 = sample_generator_candidate(params, rng, max_attempts).x
+        u1 = sample_generator_candidate(params, rng).x
     else:
         f._check(u1)
         if u1 != x0 and div3_obstruction(params, u1) == 0:
@@ -119,39 +118,28 @@ def div27(field: Field, a: Fe) -> bool:
     """27 | K(a), decided from the z-parametrization of a = z^27 - z^9.
 
     Requires trace(a) = 0 (else the question is ill-posed and TraceNotZero
-    is raised).  The predicate Tr(z^5 (z-1)(z+1)^7 / (z^2+1)^3) = 0 is
-    evaluated for all three choices of z, which must agree; degenerate z
-    (z^2 + 1 = 0, or x_1 = 0) falls back to the 3-divisibility
-    obstruction at x_1, or to the descent as a last resort.
+    is raised).  The verdict is Tr(z^5 (z-1)(z+1)^7 / (z^2+1)^3) = 0 for
+    z = w^{1/9}, w^3 - w = a.  The ninth root is additive and fixes F_3,
+    so the three choices of z are z0, z0 + 1, z0 + 2.  None lies in F_3
+    (a != 0), and at most one is a root of z^2 + 1 (the roots differ by
+    2i, which is not in F_3), so at least two verdicts exist; they must
+    agree.
     """
     field._check(a)
     if not a:
         raise ZeroParameter("a must be nonzero")
     if a.trace() != 0:
         raise TraceNotZero("27 | K(a) test requires trace(a) = 0")
-    ws = field.solve_artin_schreier(a)
+    z0 = field.solve_artin_schreier(a)[0].ninth_root()
     verdicts = []
-    fallbacks = []
-    for w in ws:
-        z = w.ninth_root()
+    for z in (z0, z0 + 1, z0 + 2):
         den = z ** 2 + 1
-        x1 = (z ** 4 - 1) * (z ** 3 - 1) * z ** 2
-        if not den or not x1:
-            fallbacks.append(x1)
-            continue
-        expr = z ** 5 * (z - 1) * (z + 1) ** 7 / den ** 3
-        verdicts.append(expr.trace() == 0)
-    if verdicts:
-        if len(set(verdicts)) != 1:
-            raise Ksum3Error(
-                f"z-choice disagreement in div27 for a={a}: {verdicts}"
-            )
-        return verdicts[0]
-    params = CurveParams.make(field, a)
-    for x1 in fallbacks:
-        if x1:
-            return div3_obstruction(params, x1) == 0
-    return descent(params).t >= 3
+        if den:
+            expr = z ** 5 * (z - 1) * (z + 1) ** 7 / den ** 3
+            verdicts.append(expr.trace() == 0)
+    if len(set(verdicts)) != 1:
+        raise Ksum3Error(f"z-choice disagreement in div27 for a={a}: {verdicts}")
+    return verdicts[0]
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -200,3 +201,34 @@ def test_missing_m_rejected_by_argparse(capsys):
         build_parser().parse_args(["ksum"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_dot_output_choice_is_rejected(capsys):
+    # descent always prints DOT; --output only selects json or table
+    with pytest.raises(SystemExit) as exc:
+        main(["--m", "5", "--a", "p:31", "--output", "dot", "descent"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+# sha256 of the stdout of each command.  These bytes are the package's
+# results, so a change of design must leave them as they are.
+GOLDEN_DIGESTS = {
+    "--m 5 --a p:31 descent --full":
+        "13f78d50b88a86ac477c02aed1f77d9658ec001bd9c593f6d6148022936f3701",
+    "--m 6 --seed 3 scan":
+        "4729e62ae6e8e6c08bb6baa8258aead4a4f6b0c38450bc373280474545f5566c",
+    "--m 2 tower --n 3 --all":
+        "2ecf63a1782babaa4ca0b6b2626c3192c910c8ee2e5794c6ccfbbf5c09fd943f",
+    "--m 3 tower --n 2 --all":
+        "69a873d26d22941da79fedf473b7b72b879cfef7bd94704817073125e81a5e47",
+    "--m 2 verify":
+        "3aee6091250a33ba3e85b63458bec6461e2a904dc3e5cdb2b162c1ca51e316c9",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_DIGESTS))
+def test_golden_output_digest(argv):
+    code, text = run(argv.split())
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[argv]

@@ -277,3 +277,26 @@ def test_format_errors(f5):
     for bad in ("t:123", "t:2010", "p:x", "20100", "t:201003"):
         with pytest.raises(errors.FormatError):
             f5.parse(bad)
+
+
+# ---------------------------------------------------------------------------
+# group order factorization and the Tonelli-Shanks non-residue
+# ---------------------------------------------------------------------------
+
+def test_primitive_alpha_at_m37():
+    # 3^37 - 1 = 2 * 13097927 * 17189128703, two large prime factors;
+    # alpha is primitive for the modulus x^37 + 2x^6 + 1
+    f = Field(37, "t:1000002" + "0" * 30 + "1")
+    assert f.group_factors == [2, 13097927, 17189128703]
+    assert f.alpha_primitive
+    assert f.parse("p:1") == f.alpha
+
+
+def test_non_residue_is_first_non_square_and_cached():
+    f = Field(4, get_field(4).modulus)
+    f.log = None
+    f.exp = None
+    z = f._non_residue
+    assert z is f._non_residue
+    assert not z.is_square()
+    assert all(x.is_square() for x in f.nonzero_elements() if x.code < z.code)

@@ -165,3 +165,20 @@ def test_adjudicated_formula_consistent_with_lifting_law(f2):
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2)])
 def test_subfield_nonzero_scan(m, n):
     assert tower.subfield_nonzero_scan(get_field(m), n) == []
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 2), (4, 2)])
+def test_find_root_is_smallest_root_in_extension(m, n):
+    # brute force: evaluate the base modulus at every element of GF(3^{mn})
+    base = get_field(m)
+    ext = get_field(m * n)
+    smallest = None
+    for x in ext.elements():
+        acc = ext.zero
+        for c in reversed(base.modulus):
+            acc = acc * x + c
+        if not acc:
+            smallest = x
+            break
+    assert smallest is not None
+    assert tower._find_root(base, ext) == smallest

@@ -277,3 +277,46 @@ def test_cycle_bounds_consistent_with_oracle_m4(f4):
         assert oracle.curve_order(f4, a) >= lower
         # the order bound transfers to K as K >= lower - 3^m, i.e. -K <= upper
         assert -oracle.kloosterman_sum(f4, a).value <= upper
+
+
+# ---------------------------------------------------------------------------
+# the three z of div27
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_div27_ninth_roots_differ_by_f3(m):
+    """The ninth roots of the Artin-Schreier solutions are z0, z0 + 1,
+    z0 + 2, and at most one of them is a root of z^2 + 1, so div27 always
+    has at least two verdicts to compare."""
+    f = get_field(m)
+    for a in f.nonzero_elements():
+        if a.trace() != 0:
+            continue
+        zs = [w.ninth_root() for w in f.solve_artin_schreier(a)]
+        assert zs == [zs[0], zs[0] + 1, zs[0] + 2], a.trit_str
+        assert sum(1 for z in zs if not z ** 2 + 1) <= 1, a.trit_str
+
+
+def test_div27_matches_oracle_m7():
+    f = get_field(7)
+    for a in f.nonzero_elements():
+        if a.trace() != 0:
+            with pytest.raises(errors.TraceNotZero):
+                valuation.div27(f, a)
+            continue
+        v = oracle.val3(oracle.kloosterman_sum(f, a).value, 7)
+        assert valuation.div27(f, a) == (v >= 3), a.trit_str
+
+
+def test_div27_matches_descent_m40():
+    f = get_field(40, M40_MODULUS)
+    rng = random.Random(27)
+    checked = 0
+    while checked < 4:
+        a = f.el(rng.randrange(f.q))
+        a = a ** 3 - a  # trace zero
+        if not a:
+            continue
+        depth = valuation.descent(CurveParams.make(f, a)).t
+        assert valuation.div27(f, a) == (depth >= 3), a.trit_str
+        checked += 1
