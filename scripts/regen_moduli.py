@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the builtin modulus table in src/ksum3/moduli.py.
 
-For each degree m the table holds the first (by ascending code of the low
-coefficients) monic irreducible polynomial over F_3 whose residue of x is
-a primitive element, except m = 5 which is pinned to x^5 + x^4 + x^2 + 1
-so that power-format outputs line up with the worked example shipped in
-the test suite.
+For each degree m = 2..M_CAP (40) the table holds the first (by ascending
+code of the low coefficients) monic irreducible polynomial over F_3 whose
+residue of x is a primitive element, except m = 5 which is pinned to
+x^5 + x^4 + x^2 + 1 so that power-format outputs line up with the worked
+example shipped in the test suite.
 """
 
 import sys
@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ksum3.errors import ReducibleModulus
-from ksum3.field import Field
+from ksum3.field import M_CAP, Field
 
 PINNED = {5: "t:101011"}
 
@@ -43,14 +43,14 @@ def find_modulus(m: int) -> str:
 
 def main():
     lines = []
-    for m in range(2, 13):
+    for m in range(2, M_CAP + 1):
         s = find_modulus(m)
         lines.append(f"    {m}: {s!r},")
         print(f"m={m}: {s}", file=sys.stderr)
     body = "\n".join(lines)
     out = Path(__file__).resolve().parents[1] / "src" / "ksum3" / "moduli.py"
     out.write_text(
-        '"""Builtin moduli for 2 <= m <= 12, one primitive polynomial per degree.\n'
+        f'"""Builtin moduli for 2 <= m <= {M_CAP}, one primitive polynomial per degree.\n'
         "\n"
         "Generated by scripts/regen_moduli.py; regenerate with\n"
         "    python3 scripts/regen_moduli.py\n"

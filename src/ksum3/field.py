@@ -10,6 +10,16 @@ multiplicative generator plus a trace table: the brute-force oracle uses
 them for vectorized numpy passes over whole fields, and the tower module
 needs the generator.
 
+Larger fields multiply, invert and raise to powers on packed integers:
+byte i of a Python int holds the coefficient of x^i (LANE = 8 bits per
+trit).  A lane of the integer product of two packed polynomials sums at
+most m <= M_CAP = 40 products of two trits, so it stays below
+4 * M_CAP = 160 < 2^8 and never carries into the next lane; one bytes
+translation then reduces every lane mod 3.  Codes become packed ints and
+back only inside code_mul, code_inv and code_pow, and in the cube root,
+which is an F_3-linear map (the inverse Frobenius) applied to a code four
+trits at a time.
+
 External string formats (bit-exact, shared with the CLI):
   "t:20100"  coefficient of x^0 first, m characters in {0,1,2}
   "p:31"     alpha^31, valid only when alpha is primitive
@@ -42,105 +52,120 @@ TABLE_CAP = 3 ** 13   # largest field that gets exp/log/trace tables
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over F_3, coefficient lists low degree first
+# packed polynomials over F_3: byte i of a Python int is the coefficient of x^i
 # ---------------------------------------------------------------------------
 
-def _trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+LANE = 8   # bits per trit: a product lane is at most 4 * M_CAP (module docstring)
+assert 4 * M_CAP < 1 << LANE
+
+_MOD3 = bytes(v % 3 for v in range(256))          # lane -> lane mod 3
+_NEG3 = bytes(-v % 3 for v in range(256))         # lane -> -lane mod 3
+_DIGIT = bytes(ord("0") + v % 3 for v in range(256))   # lane -> digit of lane mod 3
+_CHUNKS = [bytes(d // 3 ** k % 3 for k in range(4)) for d in range(81)]   # 4 trits of d
 
 
-def _poly_sub(a: Sequence[int], b: Sequence[int]) -> list:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % 3
-    return _trim(out)
+def _lanes(v: int, table: bytes = _MOD3) -> int:
+    """Apply a 256-entry table to every lane of v, e.g. reduce each mod 3."""
+    raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
+    return int.from_bytes(raw.translate(table), "little")
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % 3
-    return _trim(out)
+def _deg(p: int) -> int:
+    return (p.bit_length() - 1) // LANE
 
 
-def _poly_mod(a: Sequence[int], f: Sequence[int]) -> list:
-    # f monic
-    r = list(a)
-    df = len(f) - 1
-    while len(r) - 1 >= df and r:
-        top = r[-1]
-        if top:
-            shift = len(r) - 1 - df
-            for i, c in enumerate(f):
-                r[shift + i] = (r[shift + i] - top * c) % 3
-        _trim(r)
-    return r
+def _pack(coeffs: Iterable[int]) -> int:
+    return int.from_bytes(bytes(coeffs), "little")
 
 
-def _poly_gcd(a: Sequence[int], b: Sequence[int]) -> list:
-    a, b = list(a), list(b)
-    while b:
-        # make b monic before reducing
-        if b[-1] == 2:  # 2 is its own inverse mod 3
-            b = [(2 * c) % 3 for c in b]
-        a, b = b, _poly_mod(a, b)
-    return a
+def _from_code(code: int) -> int:
+    """Packed form of a base-3 element code, four trits at a time."""
+    out = []
+    while code:
+        code, d = divmod(code, 81)
+        out.append(_CHUNKS[d])
+    return int.from_bytes(b"".join(out), "little")
 
 
-def _poly_xgcd(a: Sequence[int], f: Sequence[int]) -> list:
-    """Inverse of a modulo monic f (a must be coprime to f)."""
-    # extended Euclid over F_3[x]
-    r0, r1 = list(f), list(a)
-    s0, s1 = [], [1]
-    while r1:
-        lead = r1[-1]
-        if lead == 2:
-            r1 = [(2 * c) % 3 for c in r1]
-            s1 = [(2 * c) % 3 for c in s1]
-        # divide r0 by monic r1
-        q = []
-        r = list(r0)
-        dr1 = len(r1) - 1
-        while r and len(r) - 1 >= dr1:
-            top = r[-1]
-            shift = len(r) - 1 - dr1
-            while len(q) <= shift:
-                q.append(0)
-            q[shift] = (q[shift] + top) % 3
-            for i, c in enumerate(r1):
-                r[shift + i] = (r[shift + i] - top * c) % 3
-            _trim(r)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    if len(r0) != 1:
-        raise DivisionByZero("element not invertible")
-    if r0[0] == 2:
-        s0 = [(2 * c) % 3 for c in s0]
-    return _poly_mod(s0, f)
+def _to_code(p: int, m: int) -> int:
+    """Base-3 code of a packed polynomial of degree < m, its lanes taken mod 3."""
+    return int(p.to_bytes(m, "big").translate(_DIGIT), 3)
+
+
+def _pdivmod(a: int, b: int) -> tuple:
+    """Quotient and remainder of packed a by packed nonzero b."""
+    db = _deg(b)
+    lead = b >> (LANE * db)           # 1 or 2, each its own inverse mod 3
+    q = 0
+    while a and (s := _deg(a) - db) >= 0:
+        c = (a >> (LANE * (s + db))) * lead % 3
+        q |= c << (LANE * s)
+        a = _lanes(a + ((3 - c) * b << (LANE * s)))
+    return q, a
+
+
+class _Ring:
+    """F_3[x] / f for a monic f of degree m, on packed ints of degree < m.
+
+    A product is one integer multiplication (Kronecker substitution), its
+    lanes then taken mod 3.  The product P is reduced mod f by Barrett's
+    method with mu = x^(2m-2) div f: the quotient P div f is
+    ((P div x^m) * mu) div x^(m-2), exactly, since deg P <= 2m-2.
+    """
+
+    def __init__(self, modulus: Sequence[int]):
+        m = len(modulus) - 1
+        self.m = m
+        self.f = _pack(modulus)
+        self.mu = _pdivmod(1 << (LANE * (2 * m - 2)), self.f)[0]
+        self.neg_low = _pack(-c % 3 for c in modulus[:-1])   # -(f - x^m)
+        self.low = (1 << (LANE * m)) - 1
+
+    def mul(self, a: int, b: int) -> int:
+        m = self.m
+        p = _lanes(a * b)
+        q = _lanes((p >> (LANE * m)) * self.mu >> (LANE * (m - 2)))
+        return _lanes((p + q * self.neg_low) & self.low)
+
+    def pow(self, a: int, e: int) -> int:
+        if e == 0:
+            return 1
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.mul(r, a)
+        return r
+
+    def inv(self, a: int) -> int:
+        """Extended Euclid: s with s * a = 1 mod f."""
+        r0, r1, s0, s1 = self.f, a, 0, 1
+        while r1:
+            q, r = _pdivmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _lanes(q * s1 + 2 * s0, _NEG3)   # s0 - q * s1
+        if _deg(r0) != 0:
+            raise DivisionByZero("element not invertible")
+        return s0 if r0 == 1 else _lanes(s0, _NEG3)
 
 
 def is_irreducible(modulus: Sequence[int]) -> bool:
     """Distinct-degree test: monic f of degree m is irreducible iff it has
     no irreducible factor of degree <= m // 2, i.e. gcd(f, x^{3^k} - x) = 1
     for every k up to m // 2."""
-    f = list(modulus)
+    f = tuple(modulus)
     m = len(f) - 1
     if m < 1 or f[-1] != 1:
         raise DegreeMismatch("modulus must be monic of positive degree")
-    r = [0, 1]  # x
+    ring = _Ring(f)
+    x = 1 << LANE
+    r = x
     for _ in range(m // 2):
-        r = _poly_mod(_poly_mul(_poly_mul(r, r), r), f)  # r <- r^3 mod f
-        g = _poly_gcd(f, _poly_sub(r, [0, 1]))
-        if len(g) - 1 > 0:
+        r = ring.pow(r, 3)
+        a, b = ring.f, _lanes(r + 2 * x)      # gcd(f, r - x)
+        while b:
+            a, b = b, _pdivmod(a, b)[1]
+        if _deg(a) > 0:
             return False
     return True
 
@@ -218,9 +243,9 @@ class Field:
         self.m = m
         self.q = 3 ** m
         self.modulus = modulus
-        self._pow3 = [3 ** i for i in range(m + 1)]
+        self._ring = _Ring(modulus)
         self.group_factors = sorted(factorint(self.q - 1))
-        self.alpha_primitive = self._order_is_full([0, 1])
+        self.alpha_primitive = self._order_is_full(1 << LANE)
         # tables
         self.exp: Optional[np.ndarray] = None
         self.log: Optional[np.ndarray] = None
@@ -232,22 +257,9 @@ class Field:
 
     # -- construction helpers ------------------------------------------------
 
-    def _order_is_full(self, poly: list) -> bool:
+    def _order_is_full(self, packed: int) -> bool:
         n = self.q - 1
-        for p in self.group_factors:
-            if self._poly_pow(poly, n // p) == [1]:
-                return False
-        return True
-
-    def _poly_pow(self, base: list, e: int) -> list:
-        result = [1]
-        b = _poly_mod(base, self.modulus)
-        while e:
-            if e & 1:
-                result = _poly_mod(_poly_mul(result, b), self.modulus)
-            b = _poly_mod(_poly_mul(b, b), self.modulus)
-            e >>= 1
-        return result
+        return all(self._ring.pow(packed, n // p) != 1 for p in self.group_factors)
 
     def _trace_basis(self) -> list:
         """tr_basis[j] = Tr(alpha^j) in {0,1,2}; trace is F_3-linear.  These
@@ -261,22 +273,20 @@ class Field:
 
     def _build_tables(self):
         m, q = self.m, self.q
+        exp = np.empty(q - 1, dtype=np.int64)
         if self.alpha_primitive:
-            gen = [0, 1]
+            self.generator_code = 3   # alpha
+            coeffs = [1] + [0] * (m - 1)
+            for i in range(q - 1):
+                exp[i] = self._encode(coeffs)
+                coeffs = self._times_alpha(coeffs)
         else:
             gen = self._find_generator()
-        self.generator_code = self._encode(gen)
-        exp = np.empty(q - 1, dtype=np.int64)
-        coeffs = [0] * m
-        coeffs[0] = 1
-        by_alpha = gen == [0, 1]
-        for i in range(q - 1):
-            exp[i] = self._encode(coeffs)
-            if by_alpha:
-                coeffs = self._times_alpha(coeffs)
-            else:
-                nxt = _poly_mod(_poly_mul(coeffs, gen), self.modulus)
-                coeffs = list(nxt) + [0] * (m - len(nxt))
+            self.generator_code = _to_code(gen, m)
+            power = 1
+            for i in range(q - 1):
+                exp[i] = _to_code(power, m)
+                power = self._ring.mul(power, gen)
         self.exp = exp
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1, dtype=np.int64)
@@ -290,24 +300,17 @@ class Field:
             tmp //= 3
         self.trace_table = (tr % 3).astype(np.uint8)
 
-    def _find_generator(self) -> list:
+    def _find_generator(self) -> int:
         for code in range(2, self.q):
-            poly = self._decode_list(code)
-            if self._order_is_full(poly):
-                return poly
+            packed = _from_code(code)
+            if self._order_is_full(packed):
+                return packed
         raise ReducibleModulus("no multiplicative generator found")  # unreachable
 
     # -- code <-> coefficient helpers ---------------------------------------
 
     def _encode(self, coeffs: Sequence[int]) -> int:
-        return sum(c * self._pow3[i] for i, c in enumerate(coeffs))
-
-    def _decode_list(self, code: int) -> list:
-        out = []
-        while code:
-            out.append(code % 3)
-            code //= 3
-        return out
+        return _to_code(_pack(coeffs), self.m)
 
     def _decode_full(self, code: int) -> tuple:
         out = []
@@ -345,15 +348,14 @@ class Field:
             return 0
         if self.log is not None:
             return int(self.exp[(int(self.log[a]) + int(self.log[b])) % (self.q - 1)])
-        prod = _poly_mod(_poly_mul(self._decode_list(a), self._decode_list(b)), self.modulus)
-        return self._encode(prod)
+        return _to_code(self._ring.mul(_from_code(a), _from_code(b)), self.m)
 
     def code_inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
         if self.log is not None:
             return int(self.exp[(-int(self.log[a])) % (self.q - 1)])
-        return self._encode(_poly_xgcd(self._decode_list(a), self.modulus))
+        return _to_code(self._ring.inv(_from_code(a)), self.m)
 
     def code_pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -365,7 +367,7 @@ class Field:
         e %= self.q - 1
         if self.log is not None:
             return int(self.exp[(int(self.log[a]) * e) % (self.q - 1)])
-        return self._encode(self._poly_pow(self._decode_list(a), e))
+        return _to_code(self._ring.pow(_from_code(a), e), self.m)
 
     # -- vectorized code arithmetic (numpy int64 arrays) ---------------------
 
@@ -475,6 +477,31 @@ class Field:
         for _ in range(self.m - 1):
             cols.append(self._times_alpha(self._times_alpha(self._times_alpha(cols[-1]))))
         return cols
+
+    @cached_property
+    def _cube_root_images(self) -> list:
+        """x -> x^(1/3) as an F_3-linear map: for each 4-trit chunk of a code,
+        the 81 packed images of its digit patterns (lanes at most 8)."""
+        ring = self._ring
+        root = ring.pow(1 << LANE, 3 ** (self.m - 1))   # alpha^(1/3)
+        cols = [1]                                       # (alpha^j)^(1/3)
+        for _ in range(self.m - 1):
+            cols.append(ring.mul(cols[-1], root))
+        chunks = []
+        for i in range(0, self.m, 4):
+            images = [0]
+            for col in cols[i:i + 4]:
+                images = [v + d * col for d in range(3) for v in images]
+            chunks.append(images)
+        return chunks
+
+    def _linear_cube_root(self, a: int) -> int:
+        """The code of a^(1/3): one image per 4-trit chunk of the code a."""
+        acc = 0
+        for images in self._cube_root_images:
+            a, d = divmod(a, 81)
+            acc += images[d]
+        return _to_code(acc, self.m)
 
     @cached_property
     def _non_residue(self) -> "Fe":
@@ -621,10 +648,13 @@ class Fe:
         return self ** 3
 
     def cube_root(self) -> "Fe":
-        return self ** (3 ** (self.field.m - 1))
+        f = self.field
+        if f.log is not None:
+            return self ** (3 ** (f.m - 1))
+        return Fe(f, f._linear_cube_root(self.code))
 
     def ninth_root(self) -> "Fe":
-        return self ** (3 ** (self.field.m - 2))
+        return self.cube_root().cube_root()
 
     def trace(self) -> int:
         f = self.field

@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
 import io
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -232,3 +235,31 @@ def test_golden_output_digest(argv):
     code, text = run(argv.split())
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[argv]
+
+
+# The same for fields past the table cap, where every product is a packed
+# integer product: m = 14 (a of descent depth 4) and m = 40 (a of trace 0,
+# descent depth 3).
+GOLDEN_DIGESTS_PAST_TABLE_CAP = {
+    "--m 14 --modulus t:210000000000001 --a p:1 descent --full":
+        "d8d44e7bd57b72e000594aa1359439de15f22d4d91d8837136ee74ffff2df755",
+    "--m 40 --modulus t:21000000000000000000000000000000000000001"
+    " --a t:0212210221011202112202120210022121212212 descent --full":
+        "ac2ae034f0af622dca4616e6b2951551a7ada9eb64f6ed1565e07de2b4313064",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_DIGESTS_PAST_TABLE_CAP))
+def test_golden_output_digest_past_table_cap(argv):
+    code, text = run(argv.split())
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS_PAST_TABLE_CAP[argv]
+
+
+def test_worked_example_output_digest():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "worked_example.py"
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        runpy.run_path(str(script), run_name="__main__")
+    assert (hashlib.sha256(buf.getvalue().encode()).hexdigest()
+            == "3dc002ddff1a69001a31b66731064d1ef66c79661ad5091ae079df392e773c55")
