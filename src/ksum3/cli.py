@@ -9,7 +9,7 @@ and always emits DOT.  Exit codes: 0 success, 1 verification failure,
 Examples:
     ksum3 --m 5 --a p:31 ksum
     ksum3 --m 5 --a p:31 --seed 7 kval
-    ksum3 --m 4 --workers 8 scan
+    ksum3 --m 4 scan
     ksum3 --m 5 --a p:31 descent --full
     ksum3 --m 2 tower --n 3 --all
     ksum3 --m 5 verify
@@ -22,7 +22,6 @@ import hashlib
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
 from . import verify as verify_mod
@@ -35,7 +34,7 @@ from .valuation import descent, kval
 
 
 def _task_seed(seed: int, index: int) -> int:
-    """Per-element seed, independent of worker partitioning."""
+    """Per-element seed, a function of the global seed and the index only."""
     h = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=8)
     return int.from_bytes(h.digest(), "big")
 
@@ -102,37 +101,22 @@ def cmd_kval(args, field: Field, out) -> int:
 
 def cmd_scan(args, field: Field, out) -> int:
     with_oracle = field.q <= args.oracle_cap and field.exp is not None
-
-    def run_range(lo: int, hi: int) -> List[dict]:
-        recs = []
-        for code in range(lo, hi):
-            a = field.el(code)
-            rep = kval(CurveParams.make(field, a), random.Random(_task_seed(args.seed, code)))
-            rec = {
-                "index": code,
-                **_element_fields(a),
-                "k": rep.k,
-                "case": rep.case,
-                "r": rep.r,
-            }
-            if with_oracle:
-                K = kloosterman_sum(field, a).value
-                rec["K"] = K
-                rec["agree"] = rep.k == val3(K, field.m)
-            recs.append(rec)
-        return recs
-
-    codes = range(1, field.q)
-    workers = max(1, args.workers)
-    chunk = max(1, (len(codes) + workers - 1) // workers)
-    bounds = [(1 + i * chunk, min(1 + (i + 1) * chunk, field.q)) for i in range(workers)]
-    bounds = [(lo, hi) for lo, hi in bounds if lo < hi]
-    if workers == 1:
-        parts = [run_range(*b) for b in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: run_range(*b), bounds))
-    records = [r for part in parts for r in part]
+    records = []
+    for code in range(1, field.q):
+        a = field.el(code)
+        rep = kval(CurveParams.make(field, a), random.Random(_task_seed(args.seed, code)))
+        rec = {
+            "index": code,
+            **_element_fields(a),
+            "k": rep.k,
+            "case": rep.case,
+            "r": rep.r,
+        }
+        if with_oracle:
+            K = kloosterman_sum(field, a).value
+            rec["K"] = K
+            rec["agree"] = rep.k == val3(K, field.m)
+        records.append(rec)
     hist: dict = {}
     zeros = []
     for r in records:
@@ -214,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trit string of length m+1, or 'builtin'")
     p.add_argument("--a", help="element, 't:<trits>' or 'p:<k>'")
     p.add_argument("--seed", type=int, default=0, help="global RNG seed")
-    p.add_argument("--workers", type=int, default=1, help="scan partition count")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; scan runs in one thread, "
+                        "and the value changes neither output nor speed")
     p.add_argument("--output", choices=["json", "table"], default="json")
     p.add_argument("--oracle-cap", type=int, default=TABLE_CAP,
                    help="largest field size the brute-force oracle may walk")

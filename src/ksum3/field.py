@@ -10,15 +10,18 @@ multiplicative generator plus a trace table: the brute-force oracle uses
 them for vectorized numpy passes over whole fields, and the tower module
 needs the generator.
 
-Larger fields multiply, invert and raise to powers on packed integers:
-byte i of a Python int holds the coefficient of x^i (LANE = 8 bits per
-trit).  A lane of the integer product of two packed polynomials sums at
-most m <= M_CAP = 40 products of two trits, so it stays below
-4 * M_CAP = 160 < 2^8 and never carries into the next lane; one bytes
-translation then reduces every lane mod 3.  Codes become packed ints and
-back only inside code_mul, code_inv and code_pow, and in the cube root,
-which is an F_3-linear map (the inverse Frobenius) applied to a code four
-trits at a time.
+All F_3-vector work -- products, powers and inverses past the table cap,
+the table build, linear maps (the Frobenius and its inverse) and Gaussian
+elimination -- runs on packed integers: byte i of a Python int holds
+coordinate i (LANE = 8 bits per trit).  A lane of the integer product of
+two packed polynomials sums at most m <= M_CAP = 40 products of two
+trits, so it is at most 4 * M_CAP = 160 < 2^8 and never carries into
+the next lane; one bytes translation then reduces every lane mod 3.  A
+row operation of the elimination, row - fac * pivot_row, is
+row + (3 - fac) * pivot_row, whose lanes are at most 2 + 2 * 2 = 6.
+Codes become packed ints and back only at the boundary of each such
+operation; the addition and negation of single elements (code_add,
+code_neg) still work digit by digit on codes.
 
 External string formats (bit-exact, shared with the CLI):
   "t:20100"  coefficient of x^0 first, m characters in {0,1,2}
@@ -47,7 +50,7 @@ from .errors import (
     ReducibleModulus,
 )
 
-M_CAP = 40            # orders of alpha must fit comfortably in machine-width ints
+M_CAP = 40            # packed product lanes are at most 4 * M_CAP < 2^LANE
 TABLE_CAP = 3 ** 13   # largest field that gets exp/log/trace tables
 
 
@@ -170,47 +173,47 @@ def is_irreducible(modulus: Sequence[int]) -> bool:
     return True
 
 
-def solve_linear_mod3(rows: list, rhs: Sequence[int]) -> Optional[tuple]:
-    """Solve the F_3 linear system rows * v = rhs: (v, kernel), or None.
+def solve_linear_mod3(cols: Sequence[int], rhs: int, n: int) -> Optional[tuple]:
+    """Solve sum_j v_j * cols[j] = rhs over F_3: (v, kernel), or None.
 
+    cols[j] is the packed image of the j-th basis vector and rhs a packed
+    vector, each with n lanes; v and the kernel vectors are packed too,
+    with len(cols) lanes.  One bytes transpose makes each of the n rows a
+    packed int: lane j holds column j, lane len(cols) the right-hand side.
     v has every free variable set to zero, so the answer is deterministic.
     kernel is a basis of the null space, one vector per free variable
     (that variable 1, the other free ones 0), in column order.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    a = [list(r) + [rhs[i] % 3] for i, r in enumerate(rows)]
+    k = len(cols)
+    flat = b"".join(c.to_bytes(n, "little") for c in (*cols, rhs))
+    rows = [int.from_bytes(flat[i::n], "little") for i in range(n)]
     pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if a[r][col]), None)
+    for col in range(k):
+        at = LANE * col
+        row = len(pivots)
+        piv = next((r for r in range(row, n) if rows[r] >> at & 255), None)
         if piv is None:
             continue
-        a[row], a[piv] = a[piv], a[row]
-        if a[row][col] == 2:
-            a[row] = [(2 * c) % 3 for c in a[row]]
-        prow = a[row]
-        for r in range(nrows):
-            fac = a[r][col]
+        rows[row], rows[piv] = rows[piv], rows[row]
+        if rows[row] >> at & 255 == 2:
+            rows[row] = _lanes(2 * rows[row])
+        prow = rows[row]
+        for r in range(n):
+            fac = rows[r] >> at & 255
             if r != row and fac:
-                a[r] = [(c - fac * p) % 3 for c, p in zip(a[r], prow)]
+                rows[r] = _lanes(rows[r] + (3 - fac) * prow)
         pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if a[r][ncols]:
-            return None
-    v = [0] * ncols
+    if any(rows[len(pivots):]):     # a zero row with a nonzero right-hand side
+        return None
+    v = 0
     for r, col in enumerate(pivots):
-        v[col] = a[r][ncols]
+        v |= (rows[r] >> LANE * k & 255) << LANE * col
     kernel = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        k = [0] * ncols
-        k[free] = 1
+    for free in sorted(set(range(k)) - set(pivots)):
+        vec = 1 << LANE * free
         for r, col in enumerate(pivots):
-            k[col] = -a[r][free] % 3
-        kernel.append(k)
+            vec |= -(rows[r] >> LANE * free & 255) % 3 << LANE * col
+        kernel.append(vec)
     return v, kernel
 
 
@@ -273,21 +276,13 @@ class Field:
 
     def _build_tables(self):
         m, q = self.m, self.q
-        exp = np.empty(q - 1, dtype=np.int64)
-        if self.alpha_primitive:
-            self.generator_code = 3   # alpha
-            coeffs = [1] + [0] * (m - 1)
-            for i in range(q - 1):
-                exp[i] = self._encode(coeffs)
-                coeffs = self._times_alpha(coeffs)
-        else:
-            gen = self._find_generator()
-            self.generator_code = _to_code(gen, m)
-            power = 1
-            for i in range(q - 1):
-                exp[i] = _to_code(power, m)
-                power = self._ring.mul(power, gen)
-        self.exp = exp
+        gen = (1 << LANE) if self.alpha_primitive else self._find_generator()   # alpha or g
+        self.generator_code = _to_code(gen, m)
+        table, power = [], 1
+        for _ in range(q - 1):
+            table.append(_to_code(power, m))
+            power = self._ring.mul(power, gen)
+        self.exp = exp = np.array(table, dtype=np.int64)
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1, dtype=np.int64)
         self.log = log
@@ -308,9 +303,6 @@ class Field:
         raise ReducibleModulus("no multiplicative generator found")  # unreachable
 
     # -- code <-> coefficient helpers ---------------------------------------
-
-    def _encode(self, coeffs: Sequence[int]) -> int:
-        return _to_code(_pack(coeffs), self.m)
 
     def _decode_full(self, code: int) -> tuple:
         out = []
@@ -405,12 +397,6 @@ class Field:
             raise FormatError(f"element code {code} out of range")
         return Fe(self, code)
 
-    def from_coeffs(self, coeffs: Iterable[int]) -> "Fe":
-        coeffs = [int(c) % 3 for c in coeffs]
-        if len(coeffs) != self.m:
-            raise FormatError(f"expected {self.m} coefficients")
-        return Fe(self, self._encode(coeffs))
-
     def from_int(self, c: int) -> "Fe":
         return Fe(self, c % 3)
 
@@ -425,9 +411,6 @@ class Field:
     @property
     def alpha(self) -> "Fe":
         return Fe(self, 3)
-
-    def alpha_pow(self, k: int) -> "Fe":
-        return self.alpha ** k
 
     def elements(self) -> Iterator["Fe"]:
         for code in range(self.q):
@@ -446,7 +429,7 @@ class Field:
             coeffs = _parse_trits(s[2:], "element")
             if len(coeffs) != self.m:
                 raise FormatError(f"element {s!r} has {len(coeffs)} trits, want {self.m}")
-            return Fe(self, self._encode(coeffs))
+            return Fe(self, int(s[2:][::-1], 3))
         if s.startswith("p:"):
             if not self.alpha_primitive:
                 raise FormatError("power format requires a primitive alpha")
@@ -454,39 +437,32 @@ class Field:
                 k = int(s[2:])
             except ValueError:
                 raise FormatError(f"bad power format {s!r}") from None
-            return self.alpha_pow(k)
+            return self.alpha ** k
         raise FormatError(f"element {s!r} must start with 't:' or 'p:'")
 
     def modulus_string(self) -> str:
         return "t:" + "".join(str(c) for c in self.modulus)
 
-    def _times_alpha(self, coeffs: list) -> list:
-        """The m coefficients of alpha * x, from the m coefficients of x."""
-        top = coeffs[-1]
-        if not top:
-            return [0] + coeffs[:-1]
-        mod = self.modulus
-        return [(-top * mod[0]) % 3] + [
-            (coeffs[k - 1] - top * mod[k]) % 3 for k in range(1, self.m)
-        ]
+    def _power_columns(self, e: int) -> list:
+        """Packed (alpha^j)^e for j = 0..m-1: the matrix of x -> x^e when
+        that map is F_3-linear (e a power of 3)."""
+        ring = self._ring
+        image = ring.pow(1 << LANE, e)
+        cols = [1]
+        for _ in range(self.m - 1):
+            cols.append(ring.mul(cols[-1], image))
+        return cols
 
     @cached_property
     def _frobenius_columns(self) -> list:
-        """Coefficients of alpha^{3j} for j = 0..m-1: the matrix of x -> x^3."""
-        cols = [[1] + [0] * (self.m - 1)]
-        for _ in range(self.m - 1):
-            cols.append(self._times_alpha(self._times_alpha(self._times_alpha(cols[-1]))))
-        return cols
+        """Packed alpha^{3j} for j = 0..m-1: the matrix of x -> x^3."""
+        return self._power_columns(3)
 
     @cached_property
     def _cube_root_images(self) -> list:
         """x -> x^(1/3) as an F_3-linear map: for each 4-trit chunk of a code,
         the 81 packed images of its digit patterns (lanes at most 8)."""
-        ring = self._ring
-        root = ring.pow(1 << LANE, 3 ** (self.m - 1))   # alpha^(1/3)
-        cols = [1]                                       # (alpha^j)^(1/3)
-        for _ in range(self.m - 1):
-            cols.append(ring.mul(cols[-1], root))
+        cols = self._power_columns(3 ** (self.m - 1))   # (alpha^j)^(1/3)
         chunks = []
         for i in range(0, self.m, 4):
             images = [0]
@@ -515,20 +491,26 @@ class Field:
         one x0 (free variables zero) plus the kernel, which is {0} or
         {0, k, 2k}: [] when there is none, else [x0] or [x0, x0 + k, x0 + 2k].
         """
-        c, r = self.zero + c, self.zero + r   # ints coerce, foreign elements raise
-        cols, col = [], list(c.coeffs)         # column j: image of alpha^j
-        for frob in self._frobenius_columns:
-            cols.append([(u + v) % 3 for u, v in zip(frob, col)])
-            col = self._times_alpha(col)
-        sol = solve_linear_mod3(list(zip(*cols)), r.coeffs)
+        c, r = self.zero._co(c), self.zero._co(r)   # ints coerce, foreign elements raise
+        ring, m, pc = self._ring, self.m, _from_code(c.code)
+        cols = [_lanes(frob + ring.mul(pc, 1 << LANE * j))   # image of alpha^j
+                for j, frob in enumerate(self._frobenius_columns)]
+        sol = solve_linear_mod3(cols, _from_code(r.code), m)
         if sol is None:
             return []
         v, kernel = sol
-        xs = [self._encode(v)]
-        for k in kernel:
-            k = self._encode(k)
-            xs = [self.code_add(x, self.code_mul(e, k)) for e in range(3) for x in xs]
-        return [Fe(self, x) for x in xs]
+        xs = [v]
+        for k in kernel:                        # lanes reduced by _to_code
+            xs = [x + e * k for e in range(3) for x in xs]
+        return [Fe(self, _to_code(x, m)) for x in xs]
+
+    def coordinates(self, x: "Fe", basis: Sequence["Fe"]) -> Optional[int]:
+        """The code sum(v_j 3^j) of the v with x = sum(v_j basis[j]), its
+        free entries zero, or None when x is not in the span of basis."""
+        self._check(x)
+        cols = [_from_code(b.code) for b in basis]
+        sol = solve_linear_mod3(cols, _from_code(x.code), self.m)
+        return None if sol is None else _to_code(sol[0], len(basis))
 
     def solve_artin_schreier(self, a: "Fe") -> list:
         """All w in the field with w^3 - w = a, as [w, w + 1, w + 2].

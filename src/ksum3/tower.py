@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from .curve import CurveParams
 from .errors import CapExceeded, NoRootFound
-from .field import TABLE_CAP, Fe, Field, get_field, solve_linear_mod3
+from .field import TABLE_CAP, Fe, Field, get_field
 from .moduli import BUILTIN_MODULI
 from .oracle import kloosterman_sum, val3
 from .valuation import is_kloosterman_zero, kval
@@ -49,12 +49,10 @@ class Embedding:
 
     def project(self, x: Fe) -> Fe:
         """Inverse of the embedding on its image (linear solve over F_3)."""
-        self.ext._check(x)
-        rows = [[p.coeffs[i] for p in self.beta_powers] for i in range(self.ext.m)]
-        sol = solve_linear_mod3(rows, list(x.coeffs))
-        if sol is None:
+        code = self.ext.coordinates(x, self.beta_powers)
+        if code is None:
             raise NoRootFound(f"{x} is not in the embedded base field")
-        return self.base.from_coeffs(sol[0])
+        return self.base.el(code)
 
 
 def _find_root(base: Field, ext: Field) -> Fe:

@@ -242,7 +242,7 @@ def test_artin_schreier_solvable_iff_trace_zero(m):
                 f.solve_artin_schreier(a)
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
 def test_solve_linearized_against_brute_force(m):
     f = get_field(m)
     for c in f.elements():

@@ -2,7 +2,8 @@
 
 Small fields are checked exhaustively against their log tables; large ones
 on seeded samples against a schoolbook multiply written here, and moduli
-against sympy.
+against sympy.  The packed Gaussian elimination is checked against brute
+force over F_3^k.
 """
 
 import itertools
@@ -13,7 +14,14 @@ from sympy import Poly, factorint, symbols
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_pow_mod
 
-from ksum3.field import Field, _from_code, _to_code, get_field, is_irreducible
+from ksum3.field import (
+    Field,
+    _from_code,
+    _to_code,
+    get_field,
+    is_irreducible,
+    solve_linear_mod3,
+)
 from ksum3.moduli import BUILTIN_MODULI
 
 M14 = "t:210000000000001"
@@ -124,6 +132,85 @@ def test_is_square_matches_euler_criterion(big):
     for x in xs[:4] + [x * x for x in xs[4:6]]:
         euler = schoolbook_pow(x.coeffs, (f.q - 1) // 2, f.modulus)
         assert x.is_square() == (euler == one)
+
+
+def test_solve_linearized_m40_recovers_x():
+    f = get_field(40, M40)
+    rng = random.Random(4040)
+    cs = [f.zero, -f.one] + [f.el(rng.randrange(1, f.q)) for _ in range(10)]
+    for c in cs:
+        x = f.el(rng.randrange(f.q))
+        r = x ** 3 + c * x
+        ys = f.solve_linearized(c, r)
+        assert x in ys
+        assert len({y.code for y in ys}) == len(ys) in (1, 3)
+        assert all(y ** 3 + c * y == r for y in ys)
+
+
+# ---------------------------------------------------------------------------
+# the packed elimination against brute force over F_3^k
+# ---------------------------------------------------------------------------
+
+def pack(vec):
+    return int.from_bytes(bytes(vec), "little")
+
+
+def unpack(p, k):
+    return tuple(p.to_bytes(k, "little"))
+
+
+def combine(cols, v, n):
+    return tuple(sum(c[i] * x for c, x in zip(cols, v)) % 3 for i in range(n))
+
+
+def seeded_system(rng, k, n, rank_deficient, consistent):
+    cols = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(k)]
+    if rank_deficient and k > 1:   # one column a combination of the others
+        j = rng.randrange(k)
+        others = [c for i, c in enumerate(cols) if i != j]
+        cols[j] = combine(others, [rng.randrange(3) for _ in others], n)
+    if consistent:
+        rhs = combine(cols, [rng.randrange(3) for _ in range(k)], n)
+    else:
+        rhs = tuple(rng.randrange(3) for _ in range(n))
+    return cols, rhs
+
+
+SHAPES = [(k, k) for k in range(1, 6)] + [(1, 3), (2, 4), (3, 5), (2, 5), (4, 2), (5, 3)]
+
+
+@pytest.mark.parametrize("k,n", SHAPES, ids=[f"k{k}n{n}" for k, n in SHAPES])
+def test_solve_linear_mod3_against_brute_force(k, n):
+    rng = random.Random(100 * k + n)
+    systems = [([(0,) * n] * k, (0,) * n), ([(0,) * n] * k, (1,) + (0,) * (n - 1))]
+    for i in range(60):
+        systems.append(seeded_system(rng, k, n, rank_deficient=i % 2 == 1,
+                                     consistent=i % 3 != 2))
+    outcomes = set()
+    for cols, rhs in systems:
+        solutions = {v for v in itertools.product(range(3), repeat=k)
+                     if combine(cols, v, n) == rhs}
+        # column j is free iff it lies in the span of the columns before it
+        free = [j for j in range(k)
+                if any(combine(cols[:j], u, n) == cols[j]
+                       for u in itertools.product(range(3), repeat=j))]
+        sol = solve_linear_mod3([pack(c) for c in cols], pack(rhs), n)
+        if sol is None:
+            assert not solutions
+            outcomes.add("none")
+            continue
+        v, kernel = unpack(sol[0], k), [unpack(w, k) for w in sol[1]]
+        assert all(v[j] == 0 for j in free)
+        assert len(kernel) == len(free)
+        for w, j in zip(kernel, free):
+            assert [w[i] for i in free] == [int(i == j) for i in free]
+        span = {tuple((x + sum(t * w[i] for t, w in zip(ts, kernel))) % 3
+                      for i, x in enumerate(v))
+                for ts in itertools.product(range(3), repeat=len(kernel))}
+        assert span == solutions
+        outcomes.add("kernel" if kernel else "unique")
+    expected = {"none", "kernel"} | ({"unique"} if k <= n else set())
+    assert expected <= outcomes
 
 
 # ---------------------------------------------------------------------------
