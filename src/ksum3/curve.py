@@ -130,6 +130,12 @@ def triple_x(params: CurveParams, u: Fe) -> Fe:
     return (d ** 3 + a * u3) / d ** 2
 
 
+def _obstruction(params: CurveParams, x: Fe, y: Fe) -> int:
+    """Tr(a y / x^3) for a point (x, y) with x != 0; zero iff it is
+    3-divisible.  Zero-ness does not depend on the sign of y."""
+    return (params.a * y / x ** 3).trace()
+
+
 def div3_obstruction(params: CurveParams, xi: Fe) -> int:
     """Tr(a sqrt(xi^3 + xi^2 - a) / xi^3); zero iff (xi, *) is 3-divisible.
 
@@ -140,7 +146,7 @@ def div3_obstruction(params: CurveParams, xi: Fe) -> int:
     f = rhs(params, xi)
     if not f.is_square():
         raise NotOnCurve(f"{xi} is not the x-coordinate of a point on E(a)")
-    return (params.a * f.sqrt() / xi ** 3).trace()
+    return _obstruction(params, xi, f.sqrt())
 
 
 def solve_tripling_cubic(params: CurveParams, xi: Fe) -> list:
@@ -202,7 +208,7 @@ def sample_generator_candidate(
         if not f.is_square():
             continue
         y = f.sqrt()
-        if (params.a * y / x ** 3).trace() != 0:
+        if _obstruction(params, x, y):
             return Point(x, y)
     raise SamplingExhausted(f"no non-3-divisible point in {max_attempts} attempts")
 

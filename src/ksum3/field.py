@@ -18,7 +18,9 @@ two packed polynomials sums at most m <= M_CAP = 40 products of two
 trits, so it is at most 4 * M_CAP = 160 < 2^8 and never carries into
 the next lane; one bytes translation then reduces every lane mod 3.  A
 row operation of the elimination, row - fac * pivot_row, is
-row + (3 - fac) * pivot_row, whose lanes are at most 2 + 2 * 2 = 6.
+row + (3 - fac) * pivot_row without a reduction: only pivot rows are
+reduced, so after p pivots a lane is at most 2 + 4 p <= 2 + 4 m, which
+is below 2^8 for m <= 63.
 Codes become packed ints and back only at the boundary of each such
 operation; the addition and negation of single elements (code_add,
 code_neg) still work digit by digit on codes.
@@ -37,7 +39,6 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from sympy import factorint
 
 from .errors import (
     CapExceeded,
@@ -49,6 +50,7 @@ from .errors import (
     NoSolution,
     ReducibleModulus,
 )
+from .moduli import BUILTIN_MODULI, GROUP_FACTORS
 
 M_CAP = 40            # packed product lanes are at most 4 * M_CAP < 2^LANE
 TABLE_CAP = 3 ** 13   # largest field that gets exp/log/trace tables
@@ -177,12 +179,17 @@ def solve_linear_mod3(cols: Sequence[int], rhs: int, n: int) -> Optional[tuple]:
     """Solve sum_j v_j * cols[j] = rhs over F_3: (v, kernel), or None.
 
     cols[j] is the packed image of the j-th basis vector and rhs a packed
-    vector, each with n lanes; v and the kernel vectors are packed too,
-    with len(cols) lanes.  One bytes transpose makes each of the n rows a
-    packed int: lane j holds column j, lane len(cols) the right-hand side.
-    v has every free variable set to zero, so the answer is deterministic.
-    kernel is a basis of the null space, one vector per free variable
-    (that variable 1, the other free ones 0), in column order.
+    vector, each with n lanes reduced mod 3; v and the kernel vectors are
+    packed too, with len(cols) lanes.  One bytes transpose makes each of
+    the n rows a packed int: lane j holds column j, lane len(cols) the
+    right-hand side.  v has every free variable set to zero, so the answer
+    is deterministic.  kernel is a basis of the null space, one vector per
+    free variable (that variable 1, the other free ones 0), in column order.
+
+    Lanes are reduced lazily: only a pivot row is reduced, and entries are
+    read mod 3.  Each row operation adds at most 2 * 2 to a lane, so lanes
+    stay at most 2 + 4 * (pivots so far) <= 2 + 4 * 63 < 2^LANE while
+    min(n, len(cols)) <= 63.
     """
     k = len(cols)
     flat = b"".join(c.to_bytes(n, "little") for c in (*cols, rhs))
@@ -191,18 +198,20 @@ def solve_linear_mod3(cols: Sequence[int], rhs: int, n: int) -> Optional[tuple]:
     for col in range(k):
         at = LANE * col
         row = len(pivots)
-        piv = next((r for r in range(row, n) if rows[r] >> at & 255), None)
+        piv = next((r for r in range(row, n) if (rows[r] >> at & 255) % 3), None)
         if piv is None:
             continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        if rows[row] >> at & 255 == 2:
-            rows[row] = _lanes(2 * rows[row])
-        prow = rows[row]
+        prow = _lanes(rows[piv])
+        if prow >> at & 255 == 2:
+            prow = _lanes(2 * prow)
+        rows[piv] = rows[row]
+        rows[row] = prow
         for r in range(n):
-            fac = rows[r] >> at & 255
+            fac = (rows[r] >> at & 255) % 3
             if r != row and fac:
-                rows[r] = _lanes(rows[r] + (3 - fac) * prow)
+                rows[r] += (3 - fac) * prow
         pivots.append(col)
+    rows = [_lanes(r) for r in rows]
     if any(rows[len(pivots):]):     # a zero row with a nonzero right-hand side
         return None
     v = 0
@@ -247,7 +256,7 @@ class Field:
         self.q = 3 ** m
         self.modulus = modulus
         self._ring = _Ring(modulus)
-        self.group_factors = sorted(factorint(self.q - 1))
+        self.group_factors = GROUP_FACTORS[m]
         self.alpha_primitive = self._order_is_full(1 << LANE)
         # tables
         self.exp: Optional[np.ndarray] = None
@@ -492,9 +501,12 @@ class Field:
         {0, k, 2k}: [] when there is none, else [x0] or [x0, x0 + k, x0 + 2k].
         """
         c, r = self.zero._co(c), self.zero._co(r)   # ints coerce, foreign elements raise
-        ring, m, pc = self._ring, self.m, _from_code(c.code)
-        cols = [_lanes(frob + ring.mul(pc, 1 << LANE * j))   # image of alpha^j
-                for j, frob in enumerate(self._frobenius_columns)]
+        ring, m = self._ring, self.m
+        cols, cx = [], _from_code(c.code)       # cx = c alpha^j
+        for frob in self._frobenius_columns:
+            cols.append(_lanes(frob + cx))      # image of alpha^j
+            cx <<= LANE                         # times alpha; x^m = neg_low mod f
+            cx = _lanes((cx & ring.low) + (cx >> LANE * m) * ring.neg_low)
         sol = solve_linear_mod3(cols, _from_code(r.code), m)
         if sol is None:
             return []
@@ -734,7 +746,6 @@ def get_field(m: int, modulus=None) -> Field:
     modulus None or "builtin" picks the committed builtin table entry.
     """
     if modulus is None or modulus == "builtin":
-        from .moduli import BUILTIN_MODULI
         if m not in BUILTIN_MODULI:
             raise FormatError(f"no builtin modulus for m={m}; pass one explicitly")
         modulus = BUILTIN_MODULI[m]

@@ -11,6 +11,10 @@ and applies the x-only tripling map.  It ends in one of two ways:
 Either way 3^k exactly divides K(a).  The module also carries the cheap
 divisibility tests (by 9 via the trace, by 27 via the z-parametrization)
 and the level-by-level descent that rebuilds the cyclic 3-subgroup graph.
+The descent decides each node it expands by the trace test
+Tr(a y / x^3) = 0 (3-divisible) before it solves the division cubic, with
+y carried down from the root a^(1/3), whose y is a^(1/3) itself; it never
+takes a square root.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import List, Optional, Tuple
 
 from .curve import (
     CurveParams,
+    _obstruction,
     div3_obstruction,
     sample_generator_candidate,
     solve_tripling_cubic,
@@ -173,22 +178,40 @@ def descent(params: CurveParams, full: bool = False) -> DescentGraph:
     Default policy expands one node per level (the smallest in the
     canonical trit ordering); full=True expands every node, reproducing
     the complete graph of the cyclic 3-subgroup.
+
+    A node (x, y) with x != 0 has children iff Tr(a y / x^3) = 0, so the
+    division cubic is solved only for nodes that pass this test and for
+    nodes with x = 0.  y is rational along the descent.  The root
+    r = a^(1/3) has y = r, since rhs(r) = r^2.  For Q = (x, y) with
+    x^3 != a, y(3Q) = (y G(x) / (x^3 - a))^3 with
+    G(x) = x^3 - a - r (x + r), so a child x of a node with y-coordinate
+    y_parent has y = y_parent^(1/3) (x^3 - a) / G(x).  This holds up to
+    sign (3Q = +-parent), which does not change whether the trace is zero.
+    y is computed only for the nodes that get expanded.
     """
-    f = params.field
-    levels: List[List[Fe]] = [[params.a_cuberoot]]
+    f, a, r = params.field, params.a, params.a_cuberoot
+    levels: List[List[Fe]] = [[r]]
     edges: List[Tuple[Fe, Fe]] = []
+    frontier = [(r, r)]                 # (x, y) of the nodes to expand
     while True:
-        frontier = levels[-1] if full else [levels[-1][0]]
         nxt: List[Fe] = []
-        for node in frontier:
-            children = solve_tripling_cubic(params, node)
-            edges.extend((node, c) for c in children)
+        parent_roots: List[Fe] = []     # y_parent^(1/3), one per child
+        for x, y in frontier:
+            if x and _obstruction(params, x, y):
+                continue                # not 3-divisible: no children
+            children = solve_tripling_cubic(params, x)
+            edges.extend((x, c) for c in children)
             nxt.extend(children)
+            parent_roots.extend([y.cube_root()] * len(children))
         if not nxt:
             return DescentGraph(levels=levels, edges=edges)
         levels.append(nxt)
-        if len(levels) > f.m + 1:
+        if len(levels) > f.m:
             raise IterationCapExceeded("descent deeper than m levels")
+        frontier = []
+        for x, w in zip(nxt if full else nxt[:1], parent_roots):
+            d = x ** 3 - a
+            frontier.append((x, w * d / (d - r * (x + r))))
 
 
 def cycle_bounds(report: ValuationReport, field: Field) -> Tuple[int, int]:

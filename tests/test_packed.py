@@ -3,11 +3,15 @@
 Small fields are checked exhaustively against their log tables; large ones
 on seeded samples against a schoolbook multiply written here, and moduli
 against sympy.  The packed Gaussian elimination is checked against brute
-force over F_3^k.
+force over F_3^k, and by substitution on systems of up to 63 unknowns.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from sympy import Poly, factorint, symbols
@@ -22,7 +26,7 @@ from ksum3.field import (
     is_irreducible,
     solve_linear_mod3,
 )
-from ksum3.moduli import BUILTIN_MODULI
+from ksum3.moduli import BUILTIN_MODULI, GROUP_FACTORS
 
 M14 = "t:210000000000001"
 M40 = "t:21" + "0" * 38 + "1"
@@ -213,6 +217,75 @@ def test_solve_linear_mod3_against_brute_force(k, n):
     assert expected <= outcomes
 
 
+def full_rank_rows(rng, rows, r, width):
+    """rows random vectors of the given width, r of them (at random
+    places) the unit vectors e_0..e_{r-1}, so the matrix has rank r."""
+    out = [[rng.randrange(3) for _ in range(width)] for _ in range(rows)]
+    for i, at in enumerate(rng.sample(range(rows), r)):
+        out[at] = [int(j == i) for j in range(width)]
+    return out
+
+
+def rank_r_columns(rng, n, k, r):
+    """k columns of length n spanning a space of rank exactly r, all 0 at
+    coordinate n - 1: A B with A (n x r) of full column rank, its last row
+    zero, and B (r x k) of full row rank."""
+    a = full_rank_rows(rng, n - 1, r, r) + [[0] * r]
+    b_cols = full_rank_rows(rng, k, r, r)              # the k columns of B
+    return [tuple(sum(x * y for x, y in zip(row, bc)) % 3 for row in a) for bc in b_cols]
+
+
+def check_solution(cols, rhs, n, rank=None):
+    """Substitute the solver's answer: v solves the system, each kernel
+    vector maps to 0 and is 1 at its own free variable (its highest
+    nonzero entry) and 0 at the others', and v is 0 at every free one."""
+    k = len(cols)
+    sol = solve_linear_mod3([pack(c) for c in cols], pack(rhs), n)
+    assert sol is not None
+    v, kernel = unpack(sol[0], k), [unpack(w, k) for w in sol[1]]
+    assert combine(cols, v, n) == rhs
+    free = [max(j for j in range(k) if w[j]) for w in kernel]
+    assert free == sorted(set(free))
+    for w, j in zip(kernel, free):
+        assert combine(cols, w, n) == (0,) * n
+        assert [w[i] for i in free] == [int(i == j) for i in free]
+    assert all(v[j] == 0 for j in free)
+    if rank is not None:
+        assert len(kernel) == k - rank
+
+
+@pytest.mark.parametrize("n", [40, 63])
+def test_solve_linear_mod3_by_substitution(n):
+    """Square systems past the sizes brute force reaches, where lanes left
+    unreduced between pivots grow the most."""
+    k = n
+    rng = random.Random(n)
+    for _ in range(4):   # dense, consistent
+        cols = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(k)]
+        check_solution(cols, combine(cols, [rng.randrange(3) for _ in range(k)], n), n)
+    twos = [(2,) * n] * k
+    check_solution(twos, (1,) * n, n, rank=1)
+    assert solve_linear_mod3([pack(c) for c in twos], pack((1,) * (n - 1) + (0,)), n) is None
+    for r in (1, n // 2, n - 1):   # rank deficient; coordinate n - 1 outside the span
+        cols = rank_r_columns(rng, n, k, r)
+        check_solution(cols, combine(cols, [rng.randrange(3) for _ in range(k)], n), n, rank=r)
+        rhs = combine(cols, [rng.randrange(3) for _ in range(k)], n)[:-1] + (rng.randrange(1, 3),)
+        assert solve_linear_mod3([pack(c) for c in cols], pack(rhs), n) is None
+    dense = [tuple(rng.randrange(3) for _ in range(n - 1)) + (0,) for _ in range(k)]
+    rhs = tuple(rng.randrange(3) for _ in range(n - 1)) + (1,)
+    assert solve_linear_mod3([pack(c) for c in dense], pack(rhs), n) is None
+
+
+def test_solve_linear_mod3_largest_lane():
+    """63 pivots each add 2 * 2 to the right-hand side of the last row,
+    which is never a pivot row: its lane reaches 2 + 4 * 63 = 254."""
+    k, n = 63, 64
+    cols = [tuple(int(i == j or i == k) for i in range(n)) for j in range(k)]
+    rhs = (2,) * k + (2,)
+    check_solution(cols, (2,) * k + (0,), n, rank=k)
+    assert solve_linear_mod3([pack(c) for c in cols], pack(rhs), n) is None
+
+
 # ---------------------------------------------------------------------------
 # irreducibility and the builtin moduli, against sympy
 # ---------------------------------------------------------------------------
@@ -243,3 +316,21 @@ def test_builtin_modulus_is_primitive(m):
     high_first = list(reversed(coeffs))
     for p in factorint(3 ** m - 1):
         assert gf_pow_mod([1, 0], (3 ** m - 1) // p, high_first, 3, ZZ) != [1]
+
+
+def test_group_factors_match_sympy():
+    assert sorted(GROUP_FACTORS) == list(range(2, 41))
+    for m, primes in GROUP_FACTORS.items():
+        assert primes == sorted(factorint(3 ** m - 1)), m
+
+
+def test_runtime_does_not_import_sympy():
+    """sympy is a test and regeneration tool only: importing ksum3,
+    building a field and running a descent must not load it."""
+    code = ("import sys, ksum3\n"
+            "f = ksum3.get_field(10)\n"
+            "ksum3.descent(ksum3.CurveParams.make(f, f.alpha))\n"
+            "assert 'sympy' not in sys.modules\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

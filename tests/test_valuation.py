@@ -4,7 +4,7 @@ import pytest
 
 from ksum3 import curve, errors, oracle, valuation
 from ksum3.curve import CurveParams
-from ksum3.field import get_field
+from ksum3.field import Fe, get_field
 from ksum3.valuation import CYCLE, HIT_ORDER_THREE
 
 
@@ -244,6 +244,111 @@ def test_descent_dot_output(params31):
     assert dot.endswith("}")
     assert dot.count("->") == 12
     assert '"t:00101" [label="p:91"];' in dot
+
+
+# ---------------------------------------------------------------------------
+# the trace-first descent against one that solves the cubic at every node
+# ---------------------------------------------------------------------------
+
+def cubic_descent(params, full=False):
+    """Reference descent: every node it expands goes through the cubic."""
+    levels, edges = [[params.a_cuberoot]], []
+    while True:
+        nxt = []
+        for node in levels[-1] if full else levels[-1][:1]:
+            children = curve.solve_tripling_cubic(params, node)
+            edges.extend((node, c) for c in children)
+            nxt.extend(children)
+        if not nxt:
+            return levels, edges
+        levels.append(nxt)
+        assert len(levels) <= params.field.m
+
+
+def assert_descent_matches_cubic(params, full=False):
+    """descent gives the reference's levels and edges; returns its levels."""
+    g = valuation.descent(params, full)
+    levels, edges = cubic_descent(params, full)
+    assert [[n.code for n in lv] for lv in g.levels] == [[n.code for n in lv] for lv in levels]
+    assert [(p.code, c.code) for p, c in g.edges] == [(p.code, c.code) for p, c in edges]
+    return levels
+
+
+# nodes with x = 0 in the full graphs of all a; they skip the trace test
+ZERO_X_NODES = {2: 2, 3: 0, 4: 6, 5: 0, 6: 26, 7: 0}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_descent_matches_cubic_reference_exhaustive(m):
+    f = get_field(m)
+    zero_x = 0
+    for a in f.nonzero_elements():
+        params = CurveParams.make(f, a)
+        assert_descent_matches_cubic(params)
+        levels = assert_descent_matches_cubic(params, full=True)
+        zero_x += sum(1 for lv in levels for node in lv if not node)
+    assert zero_x == ZERO_X_NODES[m]
+
+
+SEEDED = [(m, None) for m in (8, 9, 10, 11, 12, 13, 14, 20, 27)] + [(40, M40_MODULUS)]
+
+
+@pytest.mark.parametrize("m,modulus", SEEDED, ids=[f"m{m}" for m, _ in SEEDED])
+def test_descent_matches_cubic_reference_seeded(m, modulus):
+    # every second a is w^3 - w (trace zero, so 9 | K(a)) to reach deeper levels
+    f = get_field(m, modulus)
+    rng = random.Random(1000 + m)
+    for i in range(12):
+        a = f.el(rng.randrange(1, f.q))
+        if i % 2:
+            a = a ** 3 - a
+        if a:
+            assert_descent_matches_cubic(CurveParams.make(f, a), full=m <= 10)
+
+
+def tripled_y(params, x, y):
+    """+-y(3Q) for Q = (x, y) with x^3 != a: (y G(x) / (x^3 - a))^3 with
+    G(x) = x^3 - a - r (x + r), r = a^(1/3) (the descent's y recurrence)."""
+    r = params.a_cuberoot
+    d = x ** 3 - params.a
+    return (y * (d - r * (x + r)) / d) ** 3
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_tripled_y_identity_exhaustive(m):
+    f = get_field(m)
+    checked = 0
+    for a in f.nonzero_elements():
+        params = CurveParams.make(f, a)
+        for p in curve.enumerate_points(params):
+            if p.is_infinity or p.x ** 3 == a:
+                continue
+            y3 = curve.scalar_mul(params, 3, p).y
+            assert y3 in (tripled_y(params, p.x, p.y), -tripled_y(params, p.x, p.y))
+            checked += 1
+    assert checked == {3: 651, 4: 6321, 5: 58323}[m]   # 65295 in all
+
+
+def test_tripled_y_identity_m40():
+    f = get_field(40, M40_MODULUS)
+    rng = random.Random(41)
+    for _ in range(6):
+        params = CurveParams.make(f, f.el(rng.randrange(1, f.q)))
+        p = curve.sample_point(params, rng)
+        y3 = curve.scalar_mul(params, 3, p).y
+        assert y3 in (tripled_y(params, p.x, p.y), -tripled_y(params, p.x, p.y))
+
+
+def test_descent_takes_no_square_root(monkeypatch):
+    def no_sqrt(self):
+        raise AssertionError("descent took a square root")
+
+    monkeypatch.setattr(Fe, "sqrt", no_sqrt)
+    f = get_field(40, M40_MODULUS)
+    rng = random.Random(42)
+    for _ in range(4):
+        w = f.el(rng.randrange(1, f.q))
+        valuation.descent(CurveParams.make(f, w ** 3 - w))
 
 
 # ---------------------------------------------------------------------------
