@@ -121,13 +121,16 @@ def scalar_mul(params: CurveParams, n: int, p: Point) -> Point:
 
 
 def triple_x(params: CurveParams, u: Fe) -> Fe:
-    """x-coordinate of 3P from x(P) = u: ((u^3 - a)^3 + a u^3) / (u^3 - a)^2."""
-    a = params.a
-    u3 = u ** 3
-    d = u3 - a
+    """x-coordinate of 3P from x(P) = u: ((u^3 - a)^3 + a u^3) / (u^3 - a)^2.
+
+    The walk's step, so it works on element codes and builds one Fe."""
+    f, a = params.field, params.a.code
+    u3 = f.code_pow(u.code, 3)
+    d = f.code_add(u3, f.code_neg(a))
     if not d:
         raise OrderThreePoint("u^3 = a: 3P is the identity, no x-coordinate")
-    return (d ** 3 + a * u3) / d ** 2
+    num = f.code_add(f.code_pow(d, 3), f.code_mul(a, u3))
+    return Fe(f, f.code_mul(num, f.code_inv(f.code_pow(d, 2))))
 
 
 def _obstruction(params: CurveParams, x: Fe, y: Fe) -> int:

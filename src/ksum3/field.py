@@ -6,9 +6,13 @@ with c_i multiplying x^i encodes to sum(c_i * 3^i).  The zero element is
 code 0, the unit is code 1, and the residue of x (called alpha) is code 3.
 
 Fields small enough (q <= 3^13) carry exp/log tables with respect to a
-multiplicative generator plus a trace table: the brute-force oracle uses
+multiplicative generator g plus a trace table: the brute-force oracle uses
 them for vectorized numpy passes over whole fields, and the tower module
-needs the generator.
+needs the generator.  A Zech-log table, zech[k] = log(1 + g^k), makes the
+scalar add a lookup too: g^i + g^j = g^(i + zech[j - i]), and -1 = g^(n/2)
+for n = q - 1 (Huber, IEEE Trans. Inf. Theory 36, 1990).  Scalar ops read
+the tables through memoryviews, which index faster than numpy arrays and
+share their memory.
 
 All F_3-vector work -- products, powers and inverses past the table cap,
 the table build, linear maps (the Frobenius and its inverse) and Gaussian
@@ -22,8 +26,8 @@ row + (3 - fac) * pivot_row without a reduction: only pivot rows are
 reduced, so after p pivots a lane is at most 2 + 4 p <= 2 + 4 m, which
 is below 2^8 for m <= 63.
 Codes become packed ints and back only at the boundary of each such
-operation; the addition and negation of single elements (code_add,
-code_neg) still work digit by digit on codes.
+operation; past the table cap that includes the scalar add and negation
+(a packed sum has lanes at most 4, and -x is 2x, which _to_code reduces).
 
 External string formats (bit-exact, shared with the CLI):
   "t:20100"  coefficient of x^0 first, m characters in {0,1,2}
@@ -295,6 +299,9 @@ class Field:
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1, dtype=np.int64)
         self.log = log
+        # 1 + g^k changes digit 0 of g^k's code only; log[0] = -1 marks 1 + g^k = 0
+        zech = log[exp - exp % 3 + (exp + 1) % 3]
+        self._exp_mv, self._log_mv, self._zech_mv = map(memoryview, (exp, log, zech))
         # trace table: codes are base-3 digit vectors, trace is linear
         codes = np.arange(q, dtype=np.int64)
         tr = np.zeros(q, dtype=np.int64)
@@ -326,36 +333,38 @@ class Field:
     # -- scalar code arithmetic ----------------------------------------------
 
     def code_add(self, a: int, b: int) -> int:
-        res = 0
-        p = 1
-        for _ in range(self.m):
-            res += ((a + b) % 3) * p
-            a //= 3
-            b //= 3
-            p *= 3
-        return res
+        if self.log is None:
+            return _to_code(_from_code(a) + _from_code(b), self.m)
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        log, n = self._log_mv, self.q - 1
+        la = log[a]
+        z = self._zech_mv[(log[b] - la) % n]
+        return 0 if z < 0 else self._exp_mv[(la + z) % n]
 
     def code_neg(self, a: int) -> int:
-        res = 0
-        p = 1
-        for _ in range(self.m):
-            res += ((3 - a % 3) % 3) * p
-            a //= 3
-            p *= 3
-        return res
+        if self.log is None:
+            return _to_code(2 * _from_code(a), self.m)
+        if a == 0:
+            return 0
+        n = self.q - 1
+        return self._exp_mv[(self._log_mv[a] + n // 2) % n]
 
     def code_mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         if self.log is not None:
-            return int(self.exp[(int(self.log[a]) + int(self.log[b])) % (self.q - 1)])
+            log = self._log_mv
+            return self._exp_mv[(log[a] + log[b]) % (self.q - 1)]
         return _to_code(self._ring.mul(_from_code(a), _from_code(b)), self.m)
 
     def code_inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
         if self.log is not None:
-            return int(self.exp[(-int(self.log[a])) % (self.q - 1)])
+            return self._exp_mv[-self._log_mv[a] % (self.q - 1)]
         return _to_code(self._ring.inv(_from_code(a)), self.m)
 
     def code_pow(self, a: int, e: int) -> int:
@@ -367,7 +376,7 @@ class Field:
             raise DivisionByZero("0 raised to a negative power")
         e %= self.q - 1
         if self.log is not None:
-            return int(self.exp[(int(self.log[a]) * e) % (self.q - 1)])
+            return self._exp_mv[self._log_mv[a] * e % (self.q - 1)]
         return _to_code(self._ring.pow(_from_code(a), e), self.m)
 
     # -- vectorized code arithmetic (numpy int64 arrays) ---------------------

@@ -85,7 +85,7 @@ def kval(
     i = 1
     while True:
         trail.append(u)
-        if u == x0:
+        if u.code == x0.code:
             return ValuationReport(k=i, case=HIT_ORDER_THREE, r=None, trail=trail, u1=u1)
         first = seen.get(u.code)
         if first is not None:

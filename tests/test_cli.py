@@ -221,6 +221,10 @@ GOLDEN_DIGESTS = {
         "13f78d50b88a86ac477c02aed1f77d9658ec001bd9c593f6d6148022936f3701",
     "--m 6 --seed 3 scan":
         "4729e62ae6e8e6c08bb6baa8258aead4a4f6b0c38450bc373280474545f5566c",
+    "--m 7 --seed 101 scan":
+        "1bca080a18558c54a8315062b6b8777b745ed298edb6b722407cb860cc833ba4",
+    "--m 7 --seed 101 --output table scan":
+        "6de62c445cdb40a0d94e5bcc8232aaadaf0d360342ce2c9fa77b46d45e4eecd8",
     "--m 2 tower --n 3 --all":
         "2ecf63a1782babaa4ca0b6b2626c3192c910c8ee2e5794c6ccfbbf5c09fd943f",
     "--m 3 tower --n 2 --all":

@@ -142,6 +142,23 @@ def test_triple_x_matches_group_law_random(params31):
         checked += 1
 
 
+@pytest.mark.parametrize("m,modulus", [(14, "t:210000000000001"), (40, "t:21" + "0" * 38 + "1")])
+def test_triple_x_past_table_cap(m, modulus):
+    """Past the table cap triple_x runs on packed products; it still agrees
+    with the group law, and u = a^(1/3) is still the order-three point."""
+    f = get_field(m, modulus)
+    assert f.exp is None
+    rng = random.Random(3000 + m)
+    for _ in range(2):
+        params = CurveParams.make(f, f.random_element(rng))
+        with pytest.raises(errors.OrderThreePoint):
+            curve.triple_x(params, params.a_cuberoot)
+        for _ in range(2):
+            p = curve.sample_point(params, rng)
+            assert p.x ** 3 != params.a
+            assert curve.triple_x(params, p.x) == curve.scalar_mul(params, 3, p).x
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_triple_x_matches_group_law_exhaustive(m):
     f = get_field(m)

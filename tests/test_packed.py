@@ -1,8 +1,11 @@
-"""The packed-integer arithmetic of fields past the table cap.
+"""The packed-integer arithmetic of fields past the table cap, and the
+scalar code ops of fields with tables.
 
 Small fields are checked exhaustively against their log tables; large ones
 on seeded samples against a schoolbook multiply written here, and moduli
-against sympy.  The packed Gaussian elimination is checked against brute
+against sympy.  The table fields' scalar ops (Zech-log add and neg, log
+mul, inv and pow) are checked against a digit-wise add and the schoolbook
+multiply.  The packed Gaussian elimination is checked against brute
 force over F_3^k, and by substitution on systems of up to 63 unknowns.
 """
 
@@ -55,6 +58,83 @@ def schoolbook_pow(a, e, modulus):
     return result
 
 
+def digit_add(a, b, m):
+    """Sum of two element codes, digit by digit mod 3."""
+    return sum((a // 3 ** i + b // 3 ** i) % 3 * 3 ** i for i in range(m))
+
+
+def digit_neg(a, m):
+    return sum(-(a // 3 ** i) % 3 * 3 ** i for i in range(m))
+
+
+def trits(code, m):
+    return tuple(code // 3 ** i % 3 for i in range(m))
+
+
+def untrits(coeffs):
+    return sum(c * 3 ** i for i, c in enumerate(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# scalar code ops of table fields against the references
+# ---------------------------------------------------------------------------
+
+NON_PRIMITIVE = ["t:101", "t:2011", "t:2221", "t:10111", "t:20201"]
+TABLE_FIELDS = [(m, None) for m in (2, 3, 4, 5)] + [(len(t) - 3, t) for t in NON_PRIMITIVE]
+
+
+def check_scalar_ops(f, pairs):
+    """add and mul on each pair (a, b); neg, inv and pow on each a, with
+    exponents 0..3, -1, q - 2, and b and -b of a's first pair."""
+    m, n = f.m, f.q - 1
+    one = trits(1, m)
+    exponents = {}
+    for a, b in pairs:
+        ta = trits(a, m)
+        assert f.code_add(a, b) == digit_add(a, b, m)
+        assert f.code_mul(a, b) == untrits(schoolbook_mul(ta, trits(b, m), f.modulus))
+        exponents.setdefault(a, {0, 1, 2, 3, b, -b, n - 1, -1})
+    for a, es in exponents.items():
+        ta = trits(a, m)
+        assert f.code_neg(a) == digit_neg(a, m)
+        if a:
+            assert schoolbook_mul(ta, trits(f.code_inv(a), m), f.modulus) == one
+        for e in es:
+            if a or e >= 0:
+                assert f.code_pow(a, e) == untrits(schoolbook_pow(ta, e % n if a else e, f.modulus))
+
+
+@pytest.mark.parametrize("m,modulus", TABLE_FIELDS, ids=[f"m{m}-{t}" for m, t in TABLE_FIELDS])
+def test_table_scalar_ops_every_pair(m, modulus):
+    f = Field(m, modulus) if modulus else get_field(m)
+    assert f.exp is not None
+    check_scalar_ops(f, itertools.product(range(f.q), repeat=2))
+
+
+@pytest.mark.parametrize("m", [8, 10, 12])
+def test_table_scalar_ops_seeded_pairs(m):
+    f = get_field(m)
+    rng = random.Random(2000 + m)
+    check_scalar_ops(f, [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(400)])
+
+
+@pytest.mark.parametrize("m,modulus", TABLE_FIELDS + [(8, None), (10, None)],
+                         ids=[f"m{m}-{t}" for m, t in TABLE_FIELDS] + ["m8-None", "m10-None"])
+def test_zech_edge_cases(m, modulus):
+    f = Field(m, modulus) if modulus else get_field(m)
+    n = f.q - 1
+    zech = f._zech_mv
+    assert [k for k in range(n) if zech[k] < 0] == [n // 2]   # 1 + g^k = 0 only at -1
+    assert f.code_add(0, 0) == 0
+    assert f.code_add(1, 2) == 0
+    assert f.code_neg(0) == 0
+    for a in range(1, min(f.q, 2000)):
+        neg = f.code_neg(a)
+        assert f.code_add(a, neg) == f.code_add(neg, a) == 0
+        assert f.code_add(a, 0) == f.code_add(0, a) == a
+        assert f.code_add(a, a) == neg
+
+
 # ---------------------------------------------------------------------------
 # exhaustive against the log tables, m = 2..5
 # ---------------------------------------------------------------------------
@@ -81,7 +161,7 @@ def test_packed_inverse_powers_and_cube_root_match_log_tables(m):
             assert _to_code(f._ring.inv(p), m) == f.code_inv(a)
 
 
-@pytest.mark.parametrize("modulus", ["t:101", "t:2011", "t:2221", "t:10111", "t:20201"])
+@pytest.mark.parametrize("modulus", NON_PRIMITIVE)
 def test_tables_from_a_non_primitive_alpha(modulus):
     """alpha is not primitive, so the exp table is built by packed products
     with a searched generator: each entry is the previous one times it."""
@@ -114,6 +194,16 @@ def test_mul_matches_schoolbook(big):
     f, xs = big
     for x, y in zip(xs, xs[1:] + xs[:1]):
         assert (x * y).coeffs == schoolbook_mul(x.coeffs, y.coeffs, f.modulus)
+
+
+def test_add_and_neg_match_digit_wise(big):
+    f, xs = big
+    codes = [0] + [x.code for x in xs]
+    for a in codes:
+        assert f.code_neg(a) == digit_neg(a, f.m)
+        assert f.code_add(a, f.code_neg(a)) == 0
+        for b in codes:
+            assert f.code_add(a, b) == digit_add(a, b, f.m)
 
 
 def test_inverse(big):
