@@ -1,8 +1,10 @@
 """Kloosterman sums over GF(3^m): exact 3-adic valuation without the sum.
 
-The fast path walks an x-only tripling recurrence on the elliptic curve
-y^2 = x^3 + x^2 - a; the brute-force oracle validates everything at desk
-scale.  See the README for the CLI surface.
+The engine is the descent: repeated 3-division on the elliptic curve
+y^2 = x^3 + x^2 - a, polynomial in m, whose depth is the valuation.  The
+paper's x-only tripling walk is kept for `kval` and `scan`; the
+brute-force oracle validates everything at desk scale.  See the README
+for the CLI surface.
 """
 
 from . import errors

@@ -146,11 +146,9 @@ def cmd_descent(args, field: Field, out) -> int:
 def cmd_tower(args, field: Field, out) -> int:
     if args.n is None:
         raise Ksum3Error("tower needs --n")
-    rng_seed = args.seed
 
     def record(a: Fe) -> dict:
-        rep = lifting_law_check(field, a, args.n, random.Random(rng_seed),
-                                oracle_cap=args.oracle_cap)
+        rep = lifting_law_check(field, a, args.n, oracle_cap=args.oracle_cap)
         return {
             **_element_fields(a),
             "m": rep.m,

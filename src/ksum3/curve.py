@@ -197,13 +197,11 @@ def sample_point(params: CurveParams, rng: random.Random) -> Point:
     raise SamplingExhausted("no curve point found")  # pragma: no cover
 
 
-def sample_generator_candidate(
-    params: CurveParams, rng: random.Random, max_attempts: int = GENERATOR_CANDIDATE_CAP
-) -> Point:
+def sample_generator_candidate(params: CurveParams, rng: random.Random) -> Point:
     """A point that is not 3-divisible (the tripling-walk start condition):
     x != 0, (x, *) on the curve, and div3_obstruction(x) != 0."""
     field = params.field
-    for _ in range(max_attempts):
+    for _ in range(GENERATOR_CANDIDATE_CAP):
         x = field.random_element(rng)
         if not x:
             continue
@@ -213,7 +211,8 @@ def sample_generator_candidate(
         y = f.sqrt()
         if _obstruction(params, x, y):
             return Point(x, y)
-    raise SamplingExhausted(f"no non-3-divisible point in {max_attempts} attempts")
+    raise SamplingExhausted(
+        f"no non-3-divisible point in {GENERATOR_CANDIDATE_CAP} attempts")
 
 
 def enumerate_points(params: CurveParams) -> Iterator[Point]:

@@ -318,15 +318,6 @@ class Field:
                 return packed
         raise ReducibleModulus("no multiplicative generator found")  # unreachable
 
-    # -- code <-> coefficient helpers ---------------------------------------
-
-    def _decode_full(self, code: int) -> tuple:
-        out = []
-        for _ in range(self.m):
-            out.append(code % 3)
-            code //= 3
-        return tuple(out)
-
     def same(self, other: "Field") -> bool:
         return self is other or (self.m == other.m and self.modulus == other.modulus)
 
@@ -722,7 +713,7 @@ class Fe:
 
     @property
     def coeffs(self) -> tuple:
-        return self.field._decode_full(self.code)
+        return tuple(_from_code(self.code).to_bytes(self.field.m, "little"))
 
     @property
     def trit_str(self) -> str:

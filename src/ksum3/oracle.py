@@ -44,7 +44,7 @@ def _require_tables(field: Field):
         raise CapExceeded("oracle needs field tables (q <= 3^13)")
 
 
-def kloosterman_sum(field: Field, a: Fe, progress=None) -> KloostermanValue:
+def kloosterman_sum(field: Field, a: Fe) -> KloostermanValue:
     """Direct O(3^m) evaluation of K(a) = sum_x omega^Tr(x + a/x)."""
     field._check(a)
     if not a:
@@ -60,8 +60,6 @@ def kloosterman_sum(field: Field, a: Fe, progress=None) -> KloostermanValue:
         a_over_x = field.exp[(la - logs) % n]
         tr = field.trace_table[field.add_codes(x, a_over_x)]
         counts += np.bincount(tr, minlength=3)
-        if progress is not None:
-            progress(hi, n)
     counts[0] += 1  # x = 0 term: Tr(0 + a*0) = 0
     c = (int(counts[0]), int(counts[1]), int(counts[2]))
     return KloostermanValue(value=c[0] - c[1], counts=c)

@@ -5,6 +5,9 @@ field with the absolute trace.  Writing H and H_n for the 3-adic
 valuations of K(a) and K_n(a) (zero conventions m and mn respectively),
 the lifting law is H_n(a) = H(a) + h where n = 3^h * s, gcd(s, 3) = 1.
 
+Valuations come from the descent, which needs no sum over the field; the
+brute-force oracle cross-checks them wherever it can run.
+
 The degree-3 lift also satisfies a closed-form identity in K(a); two
 candidate forms differing by 3q are adjudicated numerically here rather
 than assumed (see adjudicate_k3).
@@ -12,16 +15,14 @@ than assumed (see adjudicate_k3).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .curve import CurveParams
-from .errors import CapExceeded, NoRootFound
+from .errors import CapExceeded, Ksum3Error, NoRootFound
 from .field import TABLE_CAP, Fe, Field, get_field
-from .moduli import BUILTIN_MODULI
 from .oracle import kloosterman_sum, val3
-from .valuation import is_kloosterman_zero, kval
+from .valuation import descent, is_kloosterman_zero
 
 
 @dataclass(frozen=True)
@@ -79,22 +80,18 @@ def _find_root(base: Field, ext: Field) -> Fe:
     return best
 
 
-def build_extension(
-    base: Field, n: int, modulus=None
-) -> Tuple[Field, Embedding]:
+def build_extension(base: Field, n: int) -> Tuple[Field, Embedding]:
     """GF(3^{mn}) with an embedding of the base field.
 
-    The extension gets its own independently chosen modulus (builtin when
-    available); the embedding map carries all the relative structure.
+    The extension gets its own builtin modulus; the embedding map carries
+    all the relative structure.
     """
     if n < 2:
         raise CapExceeded("extension degree n must be >= 2")
     mn = base.m * n
     if 3 ** mn > TABLE_CAP:
         raise CapExceeded(f"extension GF(3^{mn}) exceeds the table cap {TABLE_CAP}")
-    if modulus is None:
-        modulus = BUILTIN_MODULI.get(mn, "builtin")
-    ext = get_field(mn, modulus)
+    ext = get_field(mn)
     beta = _find_root(base, ext)
     powers = [ext.one]
     for _ in range(base.m - 1):
@@ -126,34 +123,31 @@ class TowerReport:
     consistent: bool          # H_n == H + h
 
 
+def _checked_depth(field: Field, a: Fe, oracle_cap: int, where: str) -> int:
+    """Descent depth of a, checked against the oracle when q <= oracle_cap."""
+    t = descent(CurveParams.make(field, a)).t
+    if field.q <= oracle_cap:
+        v = val3(kloosterman_sum(field, a).value, field.m)
+        if t != v:
+            raise Ksum3Error(f"descent disagrees with oracle on {where}: {t} vs {v}")
+    return t
+
+
 def lifting_law_check(
-    base: Field,
-    a: Fe,
-    n: int,
-    rng: Optional[random.Random] = None,
-    oracle_cap: int = TABLE_CAP,
+    base: Field, a: Fe, n: int, oracle_cap: int = TABLE_CAP
 ) -> TowerReport:
     """Compare the valuation of K_n(embed(a)) against H(a) + v3(n).
 
-    Valuations come from the tripling walk; wherever the brute-force sum
-    is affordable it is run too and must agree.
+    Valuations come from the descent; wherever the brute-force sum is
+    affordable it is run too and must agree, else Ksum3Error is raised.
     """
-    if rng is None:
-        rng = random.Random(0)
     h, s = 0, n
     while s % 3 == 0:
         s //= 3
         h += 1
-    H = kval(CurveParams.make(base, a), rng).k
-    if base.q <= oracle_cap:
-        Ho = val3(kloosterman_sum(base, a).value, base.m)
-        assert H == Ho, f"kval disagrees with oracle on base field: {H} vs {Ho}"
+    H = _checked_depth(base, a, oracle_cap, "base field")
     ext, emb = build_extension(base, n)
-    b = emb(a)
-    H_n = kval(CurveParams.make(ext, b), rng).k
-    if ext.q <= oracle_cap:
-        Ho = val3(kloosterman_sum(ext, b).value, ext.m)
-        assert H_n == Ho, f"kval disagrees with oracle on extension: {H_n} vs {Ho}"
+    H_n = _checked_depth(ext, emb(a), oracle_cap, "extension")
     return TowerReport(m=base.m, n=n, h=h, s=s, H=H, H_n=H_n, consistent=H_n == H + h)
 
 
@@ -196,16 +190,9 @@ def adjudicate_k3(base: Field) -> dict:
     return {"m": base.m, "winner": winner, "witnesses": witnesses}
 
 
-def subfield_nonzero_scan(
-    base: Field, n: int, rng: Optional[random.Random] = None
-) -> List[Fe]:
+def subfield_nonzero_scan(base: Field, n: int) -> List[Fe]:
     """Embedded elements of the base field whose lifted Kloosterman sum
     vanishes; expected empty for every tower."""
-    if rng is None:
-        rng = random.Random(0)
     ext, emb = build_extension(base, n)
-    violations = []
-    for a in base.nonzero_elements():
-        if is_kloosterman_zero(CurveParams.make(ext, emb(a)), rng):
-            violations.append(a)
-    return violations
+    return [a for a in base.nonzero_elements()
+            if is_kloosterman_zero(CurveParams.make(ext, emb(a)))]

@@ -99,9 +99,13 @@ def kval(
             raise IterationCapExceeded("tripling walk exceeded 3^m + 1 steps")
 
 
-def is_kloosterman_zero(params: CurveParams, rng: Optional[random.Random] = None) -> bool:
-    """K(a) = 0 iff the walk hits a^{1/3} exactly at step m."""
-    return kval(params, rng).kloosterman_is_zero
+def is_kloosterman_zero(params: CurveParams) -> bool:
+    """K(a) = 0 iff the descent is m levels deep.
+
+    The depth is the valuation of K(a), and |K(a)| <= 2 * 3^(m/2) < 3^m,
+    so 3^m | K(a) only when K(a) = 0.
+    """
+    return descent(params).t == params.field.m
 
 
 def div9(field: Field, a: Fe) -> bool:

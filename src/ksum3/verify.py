@@ -124,12 +124,11 @@ def _weil_and_sum() -> str:
     return "Weil bound and full-field sum for m = 2, 3, 4"
 
 
-def _tower_laws(seed: int) -> str:
-    rng = random.Random(seed)
+def _tower_laws() -> str:
     f = get_field(2)
     for n in (2, 3):
         for a in f.nonzero_elements():
-            rep = tower.lifting_law_check(f, a, n, rng)
+            rep = tower.lifting_law_check(f, a, n)
             assert rep.consistent, f"n={n} a={a.trit_str}: H_n={rep.H_n} H={rep.H} h={rep.h}"
     return "H_2 = H and H_3 = H + 1 on all of F_9*"
 
@@ -140,11 +139,10 @@ def _k3_adjudication() -> dict:
     return {"winner": adj["winner"]}
 
 
-def _subfield_nonzero(seed: int) -> str:
-    rng = random.Random(seed)
+def _subfield_nonzero() -> str:
     f = get_field(2)
     for n in (2, 3):
-        v = tower.subfield_nonzero_scan(f, n, rng)
+        v = tower.subfield_nonzero_scan(f, n)
         assert not v, f"lifted zeros found for n={n}: {[a.trit_str for a in v]}"
     return "no lifted Kloosterman zeros over embedded F_9*"
 
@@ -158,7 +156,7 @@ def run_all(seed: int = 0) -> List[dict]:
         _check("divisibility_9_27", _divisibility),
         _check("order_identity", _order_identity),
         _check("weil_and_sum", _weil_and_sum),
-        _check("tower_laws", lambda: _tower_laws(seed)),
+        _check("tower_laws", _tower_laws),
         _check("k3_adjudication", _k3_adjudication),
-        _check("subfield_nonzero", lambda: _subfield_nonzero(seed)),
+        _check("subfield_nonzero", _subfield_nonzero),
     ]

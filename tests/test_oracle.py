@@ -83,12 +83,6 @@ def test_chunking_does_not_change_counts(f5, monkeypatch):
     assert oracle.kloosterman_sum(f5, a) == full
 
 
-def test_progress_callback(f5):
-    seen = []
-    oracle.kloosterman_sum(f5, f5.alpha, progress=lambda done, total: seen.append((done, total)))
-    assert seen and seen[-1][0] == seen[-1][1] == f5.q - 1
-
-
 def test_cap_exceeded_without_tables():
     f = get_field(4)
     stripped = type(f).__new__(type(f))

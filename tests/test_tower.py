@@ -1,8 +1,10 @@
+import io
 import random
 
 import pytest
 
-from ksum3 import errors, oracle, tower
+from ksum3 import cli, errors, oracle, tower, valuation
+from ksum3.curve import CurveParams
 from ksum3.field import get_field
 
 
@@ -116,8 +118,35 @@ def test_h4_sampled_base_m3(f3):
     rng = random.Random(12)
     for _ in range(5):
         a = f3.el(rng.randrange(1, f3.q))
-        rep = tower.lifting_law_check(f3, a, 4, rng)
+        rep = tower.lifting_law_check(f3, a, 4)
         assert rep.h == 0 and rep.consistent
+
+
+def test_lifting_law_check_raises_on_descent_oracle_disagreement(f2, monkeypatch):
+    # a plain assert would vanish under python -O; the check must raise
+    real = tower.descent
+
+    def off_by_one(params):
+        g = real(params)
+        return valuation.DescentGraph(levels=g.levels + [g.levels[-1]])
+
+    monkeypatch.setattr(tower, "descent", off_by_one)
+    with pytest.raises(errors.Ksum3Error, match="descent disagrees with oracle"):
+        tower.lifting_law_check(f2, f2.alpha, 2)
+
+
+def test_tower_and_zero_test_never_walk(f2, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the tripling walk ran")
+
+    monkeypatch.setattr(valuation, "kval", no_walk)
+    assert not hasattr(tower, "kval")
+    assert not valuation.is_kloosterman_zero(CurveParams.make(f2, f2.alpha))
+    for n in (2, 3):
+        assert all(tower.lifting_law_check(f2, a, n).consistent
+                   for a in f2.nonzero_elements())
+    assert tower.subfield_nonzero_scan(f2, 2) == []
+    assert cli.main(["--m", "2", "tower", "--n", "3", "--all"], out=io.StringIO()) == 0
 
 
 # ---------------------------------------------------------------------------
