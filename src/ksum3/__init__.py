@@ -18,7 +18,6 @@ from .tower import (
     adjudicate_k3,
     build_extension,
     k3_identity_check,
-    rel_trace,
     subfield_nonzero_scan,
     lifting_law_check,
 )

@@ -102,6 +102,8 @@ def cmd_kval(args, field: Field, out) -> int:
 def cmd_scan(args, field: Field, out) -> int:
     with_oracle = field.q <= args.oracle_cap and field.exp is not None
     records = []
+    hist: dict = {}
+    zeros = []
     for code in range(1, field.q):
         a = field.el(code)
         rep = kval(CurveParams.make(field, a), random.Random(_task_seed(args.seed, code)))
@@ -117,12 +119,9 @@ def cmd_scan(args, field: Field, out) -> int:
             rec["K"] = K
             rec["agree"] = rep.k == val3(K, field.m)
         records.append(rec)
-    hist: dict = {}
-    zeros = []
-    for r in records:
-        hist[r["k"]] = hist.get(r["k"], 0) + 1
-        if r["case"] == "hit_order_three" and r["k"] == field.m:
-            zeros.append(r["a"])
+        hist[rep.k] = hist.get(rep.k, 0) + 1
+        if rep.kloosterman_is_zero:
+            zeros.append(rec["a"])
     summary = {
         "summary": {
             "m": field.m,

@@ -169,10 +169,12 @@ def solve_tripling_cubic(params: CurveParams, xi: Fe) -> list:
     field = params.field
     if not rhs(params, xi).is_square():
         raise NotOnCurve(f"{xi} is not the x-coordinate of a point on E(a)")
-    a = params.a
-    c2 = -(xi.cube_root())
-    c1 = (a * (1 - xi)).cube_root()
-    c0 = -((a ** 2 * (a + xi)).cube_root())
+    # the cube root is a field automorphism fixing F_3: with A = a^{1/3} and
+    # X = xi^{1/3}, c1 = A (1 - X) and c0 = -A^2 (A + X)
+    A, X = params.a_cuberoot, xi.cube_root()
+    c2 = -X
+    c1 = A * (1 - X)
+    c0 = -(A * A * (A + X))
     if not c2:
         roots = field.solve_linearized(c1, -c0)
     else:

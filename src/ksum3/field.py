@@ -406,9 +406,6 @@ class Field:
             raise FormatError(f"element code {code} out of range")
         return Fe(self, code)
 
-    def from_int(self, c: int) -> "Fe":
-        return Fe(self, c % 3)
-
     @property
     def zero(self) -> "Fe":
         return Fe(self, 0)
@@ -516,14 +513,6 @@ class Field:
             xs = [x + e * k for e in range(3) for x in xs]
         return [Fe(self, _to_code(x, m)) for x in xs]
 
-    def coordinates(self, x: "Fe", basis: Sequence["Fe"]) -> Optional[int]:
-        """The code sum(v_j 3^j) of the v with x = sum(v_j basis[j]), its
-        free entries zero, or None when x is not in the span of basis."""
-        self._check(x)
-        cols = [_from_code(b.code) for b in basis]
-        sol = solve_linear_mod3(cols, _from_code(x.code), self.m)
-        return None if sol is None else _to_code(sol[0], len(basis))
-
     def solve_artin_schreier(self, a: "Fe") -> list:
         """All w in the field with w^3 - w = a, as [w, w + 1, w + 2].
 
@@ -624,14 +613,17 @@ class Fe:
         return self.inv()
 
     def __eq__(self, other):
+        """An int equals the element only when it is its code 0, 1 or 2
+        (unlike arithmetic, which reduces ints mod 3), so that equal values
+        hash alike."""
         if isinstance(other, int):
-            return self.code == other % 3
+            return 0 <= other <= 2 and self.code == other
         if not isinstance(other, Fe):
             return NotImplemented
         return self.field.same(other.field) and self.code == other.code
 
     def __hash__(self):
-        return hash((self.field.m, self.field.modulus, self.code))
+        return hash(self.code)
 
     def __bool__(self):
         return self.code != 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, ZeroParameter
+from .errors import CapExceeded, Ksum3Error, ZeroParameter
 from .field import Fe, Field
 
 _CHUNK = 1 << 16
@@ -35,8 +35,10 @@ class KloostermanValue:
 
     def __post_init__(self):
         c0, c1, c2 = self.counts
-        assert c1 == c2, "K(a) must be a rational integer"
-        assert self.value == c0 - c1
+        if c1 != c2:
+            raise Ksum3Error(f"counts {self.counts}: K(a) must be a rational integer")
+        if self.value != c0 - c1:
+            raise Ksum3Error(f"value {self.value} != c0 - c1 for counts {self.counts}")
 
 
 def _require_tables(field: Field):

@@ -43,18 +43,6 @@ class Embedding:
                 acc = acc + c * p
         return acc
 
-    def contains(self, x: Fe) -> bool:
-        """Whether x lies in the embedded copy of the base field."""
-        self.ext._check(x)
-        return x ** (self.base.q) == x
-
-    def project(self, x: Fe) -> Fe:
-        """Inverse of the embedding on its image (linear solve over F_3)."""
-        code = self.ext.coordinates(x, self.beta_powers)
-        if code is None:
-            raise NoRootFound(f"{x} is not in the embedded base field")
-        return self.base.el(code)
-
 
 def _find_root(base: Field, ext: Field) -> Fe:
     """Smallest-code root of the base modulus inside the extension.
@@ -97,19 +85,6 @@ def build_extension(base: Field, n: int) -> Tuple[Field, Embedding]:
     for _ in range(base.m - 1):
         powers.append(powers[-1] * beta)
     return ext, Embedding(base=base, ext=ext, beta=beta, beta_powers=tuple(powers))
-
-
-def rel_trace(emb: Embedding, x: Fe) -> Fe:
-    """Relative trace x + x^q + ... + x^{q^{n-1}} down to the embedded base."""
-    emb.ext._check(x)
-    q = emb.base.q
-    n = emb.ext.m // emb.base.m
-    acc = x
-    cur = x
-    for _ in range(n - 1):
-        cur = cur ** q
-        acc = acc + cur
-    return acc
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -159,6 +162,41 @@ def test_verify_exit_zero():
     assert code == 0
     assert all(r["ok"] for r in recs)
     assert len(recs) == 10
+
+
+_BROKEN_UNDER_O = """
+import io, json
+from ksum3 import cli, errors, oracle, valuation
+assert False, "run with python -O: asserts are stripped"
+div9 = valuation.div9
+valuation.div9 = lambda f, a: not div9(f, a)
+buf = io.StringIO()
+code = cli.main(["--m", "2", "verify"], out=buf)
+try:
+    oracle.KloostermanValue(value=5, counts=(3, 1, 2))
+    bad_value = "accepted"
+except errors.Ksum3Error:
+    bad_value = "rejected"
+print(json.dumps({"code": code, "out": buf.getvalue(), "bad_value": bad_value}))
+"""
+
+
+def test_verify_and_oracle_fail_under_optimize():
+    """python -O strips asserts; the battery and the oracle's consistency
+    check must still fail on wrong values."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_UNDER_O], env=env,
+                          capture_output=True, text=True, check=True)
+    got = json.loads(proc.stdout)
+    assert got["bad_value"] == "rejected"
+    assert got["code"] == 1
+    recs = [json.loads(line) for line in got["out"].splitlines()]
+    failed = [r["check"] for r in recs if r.get("ok") is False]
+    assert failed == ["divisibility_9_27"]
+    assert recs[-1] == {"failures": ["divisibility_9_27"]}
+    detail = next(r["detail"] for r in recs if r.get("check") == "divisibility_9_27")
+    assert detail.startswith("div9 at ")
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,14 @@ def test_alpha_fifth_power_reduction(f5):
     assert (f5.alpha ** 5).coeffs == (2, 0, 2, 0, 2)
 
 
+def test_int_equality_agrees_with_hash(f5):
+    assert len({f5.one, 1}) == 1
+    assert hash(f5.el(2)) == hash(2)
+    assert f5.one != 4 and f5.el(2) != -1 and f5.el(4) != 4
+    assert f5.one + 4 == f5.el(2)      # arithmetic still reduces ints mod 3
+    assert {f5.zero: "z"}[0] == "z"
+
+
 def test_safe_inv_zero_is_zero(f5):
     assert f5.zero.safe_inv() == f5.zero
     with pytest.raises(errors.DivisionByZero):

@@ -91,3 +91,11 @@ def test_cap_exceeded_without_tables():
     stripped.m = 4
     with pytest.raises(errors.CapExceeded):
         oracle.kloosterman_sum(stripped, stripped.el(1))
+
+
+def test_inconsistent_counts_rejected():
+    with pytest.raises(errors.Ksum3Error):
+        oracle.KloostermanValue(value=5, counts=(3, 1, 2))    # c1 != c2
+    with pytest.raises(errors.Ksum3Error):
+        oracle.KloostermanValue(value=5, counts=(3, 1, 1))    # value != c0 - c1
+    assert oracle.KloostermanValue(value=2, counts=(3, 1, 1)).value == 2

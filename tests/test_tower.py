@@ -37,7 +37,7 @@ def test_embedding_injective_and_fixes_f3(f2, emb23):
     images = {emb(x).code for x in f2.elements()}
     assert len(images) == f2.q
     for c in range(3):
-        assert emb(f2.from_int(c)) == ext.from_int(c)
+        assert emb(f2.el(c)) == ext.el(c)
 
 
 def test_embedding_root_property(f2, emb22):
@@ -56,44 +56,11 @@ def test_absolute_trace_relation(f2, emb22, emb23):
             assert emb(x).trace() == (n * x.trace()) % 3
 
 
-def test_project_roundtrip(f2, emb23):
-    ext, emb = emb23
-    for x in f2.elements():
-        assert emb.project(emb(x)) == x
-    assert emb.contains(emb(f2.alpha))
-    gamma = next(y for y in ext.nonzero_elements() if not emb.contains(y))
-    with pytest.raises(errors.NoRootFound):
-        emb.project(gamma)
-
-
 def test_build_extension_caps(f5):
     with pytest.raises(errors.CapExceeded):
         tower.build_extension(f5, 3)  # 15 > cap
     with pytest.raises(errors.CapExceeded):
         tower.build_extension(f5, 1)
-
-
-# ---------------------------------------------------------------------------
-# relative trace
-# ---------------------------------------------------------------------------
-
-def test_rel_trace_on_embedded_elements(f2, emb22, emb23):
-    for n, (ext, emb) in ((2, emb22), (3, emb23)):
-        for x in f2.elements():
-            got = tower.rel_trace(emb, emb(x))
-            assert got == n * emb(x)
-            if n % 3 == 0:
-                assert got == ext.zero
-
-
-def test_rel_trace_lands_in_base_and_transitivity(f2, emb23):
-    ext, emb = emb23
-    rng = random.Random(4)
-    for _ in range(40):
-        x = ext.random_element(rng)
-        t = tower.rel_trace(emb, x)
-        assert emb.contains(t)
-        assert emb.project(t).trace() == x.trace()
 
 
 # ---------------------------------------------------------------------------
