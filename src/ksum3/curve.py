@@ -153,39 +153,46 @@ def div3_obstruction(params: CurveParams, xi: Fe) -> int:
 
 
 def solve_tripling_cubic(params: CurveParams, xi: Fe) -> list:
-    """All x with 3(x, *) having x-coordinate xi, sorted by code: the
-    distinct roots of P(x) = x^3 + c2 x^2 + c1 x + c0 with c2 = -xi^{1/3},
-    c1 = (a(1 - xi))^{1/3}, c0 = -(a^2 (a + xi))^{1/3}; [] when the point
-    is not 3-divisible.  Char 3 kills the cross term, so
-    P(t + y) = P(t) + y^3 + c2 y^2 + (2 c2 t + c1) y, and one F_3-linear
-    solve (Field.solve_linearized) finds the roots:
-
-      c2 = 0:  x^3 + c1 x = -c0 is linear in x.
-      c2 != 0: t = c1 / c2 kills the y term; d = P(t).  If d = 0 the roots
-               are t and t - c2 (an order-2 point xi: two preimages share
-               an x-coordinate).  Else y = 1/z gives z^3 + (c2/d) z = -1/d
-               and the roots are t + 1/z.
-    """
-    field = params.field
-    if not rhs(params, xi).is_square():
+    """All x with 3(x, *) having x-coordinate xi, sorted by code ([] if none)."""
+    f = rhs(params, xi)
+    if not f.is_square():
         raise NotOnCurve(f"{xi} is not the x-coordinate of a point on E(a)")
-    # the cube root is a field automorphism fixing F_3: with A = a^{1/3} and
-    # X = xi^{1/3}, c1 = A (1 - X) and c0 = -A^2 (A + X)
-    A, X = params.a_cuberoot, xi.cube_root()
-    c2 = -X
-    c1 = A * (1 - X)
-    c0 = -(A * A * (A + X))
-    if not c2:
-        roots = field.solve_linearized(c1, -c0)
+    return _divide(params, xi, f.sqrt().cube_root())
+
+
+def _divide(params: CurveParams, xi: Fe, w: Fe) -> list:
+    """The roots, sorted by code, of the division cubic of a point (xi, y)
+    on E(a), given w = y^(1/3); [] when it has none.
+
+    With A = a^(1/3) and X = xi^(1/3) the cubic is
+    P(x) = x^3 - X x^2 + A (1 - X) x - A^2 (A + X), and w^2 = X^3 + X^2 - A
+    as the cube root is a field automorphism.  Each case is one equation
+    u^3 - u = R, solvable iff Tr(R) = 0:
+
+      xi = 0:  P(x) = x^3 + A x - a and A = -w^2, so x = w u gives
+               w^3 (u^3 - u) = a: R = a / w^3.
+      xi != 0: char 3 kills the cross term of P(t + v), so t = A (1 - 1/X)
+               kills its linear term: P(t + v) = d + v^3 - X v^2 with
+               d = P(t) = A^2 w^2 / X^3.  If w = 0 the roots are t and
+               t + X (an order-2 point).  Else v = k / u with
+               k = A w / X^2 gives u^3 - u = R = -A w / X^3.
+
+    R and u change sign with w, so the roots do not.
+    """
+    A = params.a_cuberoot
+    if not xi:
+        R, root = params.a / w ** 3, lambda u: w * u
     else:
-        t = c1 / c2
-        d = ((t + c2) * t + c1) * t + c0
-        if not d:
-            roots = [t, t - c2]
-        else:
-            dinv = d.inv()
-            roots = [t + z.inv() for z in field.solve_linearized(c2 * dinv, -dinv)]
-    return sorted(roots, key=lambda e: e.code)
+        X = xi.cube_root()
+        Xinv = X.inv()
+        t = A * (1 - Xinv)
+        if not w:
+            return sorted([t, t + X], key=lambda e: e.code)
+        k = A * w * Xinv * Xinv
+        R, root = -k * Xinv, lambda u: t + k / u
+    if R.trace():
+        return []
+    return sorted((root(u) for u in params.field.solve_artin_schreier(R)), key=lambda e: e.code)
 
 
 def sample_point(params: CurveParams, rng: random.Random) -> Point:

@@ -15,16 +15,16 @@ the tables through memoryviews, which index faster than numpy arrays and
 share their memory.
 
 All F_3-vector work -- products, powers and inverses past the table cap,
-the table build, linear maps (the Frobenius and its inverse) and Gaussian
-elimination -- runs on packed integers: byte i of a Python int holds
-coordinate i (LANE = 8 bits per trit).  A lane of the integer product of
-two packed polynomials sums at most m <= M_CAP = 40 products of two
-trits, so it is at most 4 * M_CAP = 160 < 2^8 and never carries into
-the next lane; one bytes translation then reduces every lane mod 3.  A
-row operation of the elimination, row - fac * pivot_row, is
-row + (3 - fac) * pivot_row without a reduction: only pivot rows are
-reduced, so after p pivots a lane is at most 2 + 4 p <= 2 + 4 m, which
-is below 2^8 for m <= 63.
+the table build, the cached linear maps (the cube root and a right inverse
+of u -> u^3 - u) and the elimination that builds the second -- runs on
+packed integers: byte i of a Python int holds coordinate i (LANE = 8 bits
+per trit).  A lane of the integer product of two packed polynomials sums
+at most m <= M_CAP = 40 products of two trits, so it is at most
+4 * M_CAP = 160 < 2^8 and never carries into the next lane; one bytes
+translation then reduces every lane mod 3.  A row operation of the
+elimination, row - fac * pivot_row, is row + (3 - fac) * pivot_row
+without a reduction: only pivot rows are reduced, so after p pivots a
+lane is at most 2 + 4 p <= 2 + 4 m, which is below 2^8 for m <= 63.
 Codes become packed ints and back only at the boundary of each such
 operation; past the table cap that includes the scalar add and negation
 (a packed sum has lanes at most 4, and -x is 2x, which _to_code reduces).
@@ -99,6 +99,28 @@ def _from_code(code: int) -> int:
 def _to_code(p: int, m: int) -> int:
     """Base-3 code of a packed polynomial of degree < m, its lanes taken mod 3."""
     return int(p.to_bytes(m, "big").translate(_DIGIT), 3)
+
+
+def _chunk_images(cols: Sequence[int]) -> list:
+    """The F_3-linear map with packed images cols[j] of alpha^j, as the 81
+    packed images of each 4-trit chunk of a code.  A sum of m reduced
+    columns times digits <= 2 has lanes <= 4 m <= 160 < 2^LANE."""
+    chunks = []
+    for i in range(0, len(cols), 4):
+        images = [0]
+        for col in cols[i:i + 4]:
+            images = [v + d * col for d in range(3) for v in images]
+        chunks.append(images)
+    return chunks
+
+
+def _apply_images(chunks: list, code: int, m: int) -> int:
+    """The code of the image of a code under a map from _chunk_images."""
+    acc = 0
+    for images in chunks:
+        code, d = divmod(code, 81)
+        acc += images[d]
+    return _to_code(acc, m)
 
 
 def _pdivmod(a: int, b: int) -> tuple:
@@ -460,70 +482,39 @@ class Field:
         return cols
 
     @cached_property
-    def _frobenius_columns(self) -> list:
-        """Packed alpha^{3j} for j = 0..m-1: the matrix of x -> x^3."""
-        return self._power_columns(3)
+    def _cube_root_images(self) -> list:
+        """x -> x^(1/3) as chunk tables (_chunk_images) of (alpha^j)^(1/3)."""
+        return _chunk_images(self._power_columns(3 ** (self.m - 1)))
 
     @cached_property
-    def _cube_root_images(self) -> list:
-        """x -> x^(1/3) as an F_3-linear map: for each 4-trit chunk of a code,
-        the 81 packed images of its digit patterns (lanes at most 8)."""
-        cols = self._power_columns(3 ** (self.m - 1))   # (alpha^j)^(1/3)
-        chunks = []
-        for i in range(0, self.m, 4):
-            images = [0]
-            for col in cols[i:i + 4]:
-                images = [v + d * col for d in range(3) for v in images]
-            chunks.append(images)
-        return chunks
-
-    def _linear_cube_root(self, a: int) -> int:
-        """The code of a^(1/3): one image per 4-trit chunk of the code a."""
-        acc = 0
-        for images in self._cube_root_images:
-            a, d = divmod(a, 81)
-            acc += images[d]
-        return _to_code(acc, self.m)
+    def _artin_schreier_images(self) -> list:
+        """Chunk tables of a right inverse of L(u) = u^3 - u on the trace-zero
+        elements, L's image (its kernel is F_3).  Image j is the solver's
+        solution (free variable, the constant term, zero) for alpha^j minus
+        (Tr(alpha^j) / Tr(alpha^j0)) alpha^j0, j0 the first j with
+        Tr(alpha^j) != 0.  These sum to a when Tr(a) = 0, so by linearity
+        the images sum to the solver's own solution for a."""
+        m, tr = self.m, self._tr_basis
+        cols = [_lanes(c + (2 << LANE * j)) for j, c in enumerate(self._power_columns(3))]
+        j0 = next(j for j in range(m) if tr[j])
+        # Tr(alpha^j) / Tr(alpha^j0) = tr[j] tr[j0] in F_3
+        rhs = [_lanes((1 << LANE * j) + (-tr[j] * tr[j0] % 3 << LANE * j0)) for j in range(m)]
+        return _chunk_images([solve_linear_mod3(cols, r, m)[0] for r in rhs])
 
     @cached_property
     def _non_residue(self) -> "Fe":
         """The first non-square by ascending code, for Tonelli-Shanks."""
         return next(e for e in self.nonzero_elements() if not e.is_square())
 
-    def solve_linearized(self, c, r) -> list:
-        """All x in the field with x^3 + c x = r (c and r elements or ints).
-
-        x -> x^3 + c x is F_3-linear, so the solutions are the particular
-        one x0 (free variables zero) plus the kernel, which is {0} or
-        {0, k, 2k}: [] when there is none, else [x0] or [x0, x0 + k, x0 + 2k].
-        """
-        c, r = self.zero._co(c), self.zero._co(r)   # ints coerce, foreign elements raise
-        ring, m = self._ring, self.m
-        cols, cx = [], _from_code(c.code)       # cx = c alpha^j
-        for frob in self._frobenius_columns:
-            cols.append(_lanes(frob + cx))      # image of alpha^j
-            cx <<= LANE                         # times alpha; x^m = neg_low mod f
-            cx = _lanes((cx & ring.low) + (cx >> LANE * m) * ring.neg_low)
-        sol = solve_linear_mod3(cols, _from_code(r.code), m)
-        if sol is None:
-            return []
-        v, kernel = sol
-        xs = [v]
-        for k in kernel:                        # lanes reduced by _to_code
-            xs = [x + e * k for e in range(3) for x in xs]
-        return [Fe(self, _to_code(x, m)) for x in xs]
-
     def solve_artin_schreier(self, a: "Fe") -> list:
-        """All w in the field with w^3 - w = a, as [w, w + 1, w + 2].
-
-        The map w -> w^3 - w is F_3-linear with kernel F_3, so there are
-        either no solutions (trace(a) != 0) or exactly three differing by
-        prime-field constants.
-        """
-        ws = self.solve_linearized(-1, a)
-        if not ws:
+        """All w with w^3 - w = a, as [w, w + 1, w + 2] (the map's kernel is
+        F_3), w the one with constant term zero, from the cached operator
+        _artin_schreier_images; NoSolution when Tr(a) != 0."""
+        self._check(a)
+        if a.trace():
             raise NoSolution(f"trace({a}) != 0, w^3 - w = a unsolvable")
-        return ws
+        w = Fe(self, _apply_images(self._artin_schreier_images, a.code, self.m))
+        return [w, w + 1, w + 2]
 
     def _check(self, x: "Fe") -> None:
         if not self.same(x.field):
@@ -637,7 +628,7 @@ class Fe:
         f = self.field
         if f.log is not None:
             return self ** (3 ** (f.m - 1))
-        return Fe(f, f._linear_cube_root(self.code))
+        return Fe(f, _apply_images(f._cube_root_images, self.code, f.m))
 
     def ninth_root(self) -> "Fe":
         return self.cube_root().cube_root()

@@ -12,9 +12,9 @@ Either way 3^k exactly divides K(a).  The module also carries the cheap
 divisibility tests (by 9 via the trace, by 27 via the z-parametrization)
 and the level-by-level descent that rebuilds the cyclic 3-subgroup graph.
 The descent decides each node it expands by the trace test
-Tr(a y / x^3) = 0 (3-divisible) before it solves the division cubic, with
-y carried down from the root a^(1/3), whose y is a^(1/3) itself; it never
-takes a square root.
+Tr(a y / x^3) = 0 (3-divisible) before it solves the division cubic, one
+equation u^3 - u = R through the field's cached map; y is carried down from
+the root a^(1/3), whose y is a^(1/3) itself, so it takes no square root.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from typing import List, Optional, Tuple
 
 from .curve import (
     CurveParams,
+    _divide,
     _obstruction,
     div3_obstruction,
     sample_generator_candidate,
-    solve_tripling_cubic,
     triple_x,
 )
 from .errors import (
@@ -184,8 +184,8 @@ def descent(params: CurveParams, full: bool = False) -> DescentGraph:
     the complete graph of the cyclic 3-subgroup.
 
     A node (x, y) with x != 0 has children iff Tr(a y / x^3) = 0, so the
-    division cubic is solved only for nodes that pass this test and for
-    nodes with x = 0.  y is rational along the descent.  The root
+    division cubic, u^3 - u = R for R from x and y^(1/3) (curve._divide),
+    is solved only for nodes that pass and for x = 0.  The root
     r = a^(1/3) has y = r, since rhs(r) = r^2.  For Q = (x, y) with
     x^3 != a, y(3Q) = (y G(x) / (x^3 - a))^3 with
     G(x) = x^3 - a - r (x + r), so a child x of a node with y-coordinate
@@ -203,10 +203,11 @@ def descent(params: CurveParams, full: bool = False) -> DescentGraph:
         for x, y in frontier:
             if x and _obstruction(params, x, y):
                 continue                # not 3-divisible: no children
-            children = solve_tripling_cubic(params, x)
+            w = y.cube_root()
+            children = _divide(params, x, w)
             edges.extend((x, c) for c in children)
             nxt.extend(children)
-            parent_roots.extend([y.cube_root()] * len(children))
+            parent_roots.extend([w] * len(children))
         if not nxt:
             return DescentGraph(levels=levels, edges=edges)
         levels.append(nxt)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import runpy
 import subprocess
 import sys
@@ -11,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from ksum3.cli import build_parser, main
+from ksum3.curve import CurveParams
 from ksum3.field import get_field
+from ksum3.valuation import descent
 
 
 def run(argv):
@@ -296,6 +299,39 @@ def test_golden_output_digest_past_table_cap(argv):
     code, text = run(argv.split())
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS_PAST_TABLE_CAP[argv]
+
+
+# sha256 over the levels and edges (element codes) of descent graphs: both
+# policies for every a at m = 2..7, and the seeded a of the seeded descent
+# test in test_valuation.py (same moduli, seeds and policies).
+DESCENT_DIGEST = "b975d76cc1fbeaab3b524967a5fbdf128f07bebcf88e419a81f869f2e4827a3c"
+M40_MODULUS = "t:21" + "0" * 38 + "1"
+DIGEST_SEEDED = [(m, None) for m in (8, 9, 10, 11, 12, 13, 14, 20, 27)] + [(40, M40_MODULUS)]
+
+
+def test_descent_digest():
+    h = hashlib.sha256()
+
+    def feed(g):
+        h.update(repr(([[n.code for n in lv] for lv in g.levels],
+                       [(p.code, c.code) for p, c in g.edges])).encode())
+
+    for m in range(2, 8):
+        f = get_field(m)
+        for a in f.nonzero_elements():
+            params = CurveParams.make(f, a)
+            feed(descent(params))
+            feed(descent(params, full=True))
+    for m, modulus in DIGEST_SEEDED:
+        f = get_field(m, modulus)
+        rng = random.Random(1000 + m)
+        for i in range(12):
+            a = f.el(rng.randrange(1, f.q))
+            if i % 2:
+                a = a ** 3 - a
+            if a:
+                feed(descent(CurveParams.make(f, a), full=m <= 10))
+    assert h.hexdigest() == DESCENT_DIGEST
 
 
 def test_worked_example_output_digest():

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from ksum3 import errors
 from ksum3.field import Field, get_field, is_irreducible
+from linear_referee import solve_linearized
 
 
 def codes(field):
@@ -258,10 +259,29 @@ def test_solve_linearized_against_brute_force(m):
         for x in f.elements():
             image.setdefault((x ** 3 + c * x).code, []).append(x.code)
         for r in f.elements():
-            xs = f.solve_linearized(c, r)
+            xs = solve_linearized(f, c, r)
             assert sorted(x.code for x in xs) == image.get(r.code, [])
             if len(xs) == 3:  # [x0, x0 + k, x0 + 2 k]
                 assert xs[2] - xs[1] == xs[1] - xs[0]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_artin_schreier_order_exhaustive(m):
+    """[w0, w0 + 1, w0 + 2] with w0 the root whose constant term is 0."""
+    f = get_field(m)
+    roots = {}
+    for w in f.elements():
+        if w.code % 3 == 0:
+            roots[(w ** 3 - w).code] = w
+    for a in f.elements():
+        if a.trace() == 0:
+            w0 = roots[a.code]
+            assert f.solve_artin_schreier(a) == [w0, w0 + 1, w0 + 2]
+
+
+def test_artin_schreier_rejects_foreign_element(f4, f5):
+    with pytest.raises(errors.MixedFields):
+        f5.solve_artin_schreier(f4.one)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from sympy.polys.galoistools import gf_pow_mod
 
 from ksum3.field import (
     Field,
+    _apply_images,
     _from_code,
     _to_code,
     get_field,
@@ -30,6 +31,7 @@ from ksum3.field import (
     solve_linear_mod3,
 )
 from ksum3.moduli import BUILTIN_MODULI, GROUP_FACTORS
+from linear_referee import solve_linearized
 
 M14 = "t:210000000000001"
 M40 = "t:21" + "0" * 38 + "1"
@@ -156,7 +158,7 @@ def test_packed_inverse_powers_and_cube_root_match_log_tables(m):
         assert _to_code(p, m) == a
         for e in exponents:
             assert _to_code(f._ring.pow(p, e), m) == f.code_pow(a, e)
-        assert f._linear_cube_root(a) == f.el(a).cube_root().code
+        assert _apply_images(f._cube_root_images, a, m) == f.el(a).cube_root().code
         if a:
             assert _to_code(f._ring.inv(p), m) == f.code_inv(a)
 
@@ -235,10 +237,34 @@ def test_solve_linearized_m40_recovers_x():
     for c in cs:
         x = f.el(rng.randrange(f.q))
         r = x ** 3 + c * x
-        ys = f.solve_linearized(c, r)
+        ys = solve_linearized(f, c, r)
         assert x in ys
         assert len({y.code for y in ys}) == len(ys) in (1, 3)
         assert all(y ** 3 + c * y == r for y in ys)
+
+
+@pytest.mark.parametrize("m,modulus", [(13, None), (14, M14), (20, None), (27, None),
+                                       (40, None), (40, M40)])
+def test_artin_schreier_operator_matches_elimination(m, modulus):
+    """The cached operator returns the elimination's solutions, in order."""
+    f = get_field(m, modulus)
+    rng = random.Random(5000 + m)
+    for _ in range(12):
+        x = f.el(rng.randrange(f.q))
+        a = x ** 3 - x
+        assert f.solve_artin_schreier(a) == solve_linearized(f, -1, a)
+
+
+@pytest.mark.parametrize("m", [14, 39, 40])
+def test_chunk_image_lanes_stay_below_4m(m):
+    """The largest lane of a sum of one image per chunk is at most 4 m."""
+    f = get_field(m)
+    for chunks in (f._cube_root_images, f._artin_schreier_images):
+        top = [0] * m
+        for images in chunks:
+            lanes = zip(*(v.to_bytes(m, "little") for v in images))
+            top = [t + max(lane) for t, lane in zip(top, lanes)]
+        assert max(top) <= 4 * m
 
 
 # ---------------------------------------------------------------------------
