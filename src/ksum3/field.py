@@ -15,16 +15,16 @@ the tables through memoryviews, which index faster than numpy arrays and
 share their memory.
 
 All F_3-vector work -- products, powers and inverses past the table cap,
-the table build, the cached linear maps (the cube root and a right inverse
-of u -> u^3 - u) and the elimination that builds the second -- runs on
-packed integers: byte i of a Python int holds coordinate i (LANE = 8 bits
-per trit).  A lane of the integer product of two packed polynomials sums
-at most m <= M_CAP = 40 products of two trits, so it is at most
-4 * M_CAP = 160 < 2^8 and never carries into the next lane; one bytes
-translation then reduces every lane mod 3.  A row operation of the
-elimination, row - fac * pivot_row, is row + (3 - fac) * pivot_row
-without a reduction: only pivot rows are reduced, so after p pivots a
-lane is at most 2 + 4 p <= 2 + 4 m, which is below 2^8 for m <= 63.
+the table build and the cached linear maps (the cube root and a right
+inverse of u -> u^3 - u) -- runs on packed integers: byte i of a Python
+int holds coordinate i (LANE = 8 bits per trit).  A lane of the integer
+product of two packed polynomials sums at most m <= M_CAP = 40 products
+of two trits, so it is at most 4 * M_CAP = 160 < 2^8 and never carries
+into the next lane; one bytes translation then reduces every lane mod 3.
+The right inverse of u -> u^3 - u needs no linear solve: by additive
+Hilbert 90, with Tr(theta) = -1 and S_i = a + a^3 + ... + a^(3^(i-1)),
+w = sum_(i<m) S_i theta^(3^i) has w^3 - w = a whenever Tr(a) = 0.  Its
+build sums m reduced products per image, so its lanes stay at most 2 m.
 Codes become packed ints and back only at the boundary of each such
 operation; past the table cap that includes the scalar add and negation
 (a packed sum has lanes at most 4, and -x is 2x, which _to_code reduces).
@@ -201,57 +201,6 @@ def is_irreducible(modulus: Sequence[int]) -> bool:
     return True
 
 
-def solve_linear_mod3(cols: Sequence[int], rhs: int, n: int) -> Optional[tuple]:
-    """Solve sum_j v_j * cols[j] = rhs over F_3: (v, kernel), or None.
-
-    cols[j] is the packed image of the j-th basis vector and rhs a packed
-    vector, each with n lanes reduced mod 3; v and the kernel vectors are
-    packed too, with len(cols) lanes.  One bytes transpose makes each of
-    the n rows a packed int: lane j holds column j, lane len(cols) the
-    right-hand side.  v has every free variable set to zero, so the answer
-    is deterministic.  kernel is a basis of the null space, one vector per
-    free variable (that variable 1, the other free ones 0), in column order.
-
-    Lanes are reduced lazily: only a pivot row is reduced, and entries are
-    read mod 3.  Each row operation adds at most 2 * 2 to a lane, so lanes
-    stay at most 2 + 4 * (pivots so far) <= 2 + 4 * 63 < 2^LANE while
-    min(n, len(cols)) <= 63.
-    """
-    k = len(cols)
-    flat = b"".join(c.to_bytes(n, "little") for c in (*cols, rhs))
-    rows = [int.from_bytes(flat[i::n], "little") for i in range(n)]
-    pivots = []
-    for col in range(k):
-        at = LANE * col
-        row = len(pivots)
-        piv = next((r for r in range(row, n) if (rows[r] >> at & 255) % 3), None)
-        if piv is None:
-            continue
-        prow = _lanes(rows[piv])
-        if prow >> at & 255 == 2:
-            prow = _lanes(2 * prow)
-        rows[piv] = rows[row]
-        rows[row] = prow
-        for r in range(n):
-            fac = (rows[r] >> at & 255) % 3
-            if r != row and fac:
-                rows[r] += (3 - fac) * prow
-        pivots.append(col)
-    rows = [_lanes(r) for r in rows]
-    if any(rows[len(pivots):]):     # a zero row with a nonzero right-hand side
-        return None
-    v = 0
-    for r, col in enumerate(pivots):
-        v |= (rows[r] >> LANE * k & 255) << LANE * col
-    kernel = []
-    for free in sorted(set(range(k)) - set(pivots)):
-        vec = 1 << LANE * free
-        for r, col in enumerate(pivots):
-            vec |= -(rows[r] >> LANE * free & 255) % 3 << LANE * col
-        kernel.append(vec)
-    return v, kernel
-
-
 # ---------------------------------------------------------------------------
 # field and element types
 # ---------------------------------------------------------------------------
@@ -262,14 +211,18 @@ def _parse_trits(s: str, what: str) -> tuple:
     return tuple(int(c) for c in s)
 
 
+def _modulus_tuple(modulus) -> tuple:
+    """A trit string ("t:" prefix optional) or int sequence, reduced mod 3."""
+    if isinstance(modulus, str):
+        modulus = _parse_trits(modulus.removeprefix("t:"), "modulus")
+    return tuple(int(c) % 3 for c in modulus)
+
+
 class Field:
     """A concrete GF(3^m) together with its cached tables."""
 
     def __init__(self, m: int, modulus):
-        if isinstance(modulus, str):
-            s = modulus[2:] if modulus.startswith("t:") else modulus
-            modulus = _parse_trits(s, "modulus")
-        modulus = tuple(int(c) % 3 for c in modulus)
+        modulus = _modulus_tuple(modulus)
         if m < 2 or m > M_CAP:
             raise DegreeMismatch(f"extension degree m={m} outside [2, {M_CAP}]")
         if len(modulus) != m + 1:
@@ -489,17 +442,27 @@ class Field:
     @cached_property
     def _artin_schreier_images(self) -> list:
         """Chunk tables of a right inverse of L(u) = u^3 - u on the trace-zero
-        elements, L's image (its kernel is F_3).  Image j is the solver's
-        solution (free variable, the constant term, zero) for alpha^j minus
-        (Tr(alpha^j) / Tr(alpha^j0)) alpha^j0, j0 the first j with
-        Tr(alpha^j) != 0.  These sum to a when Tr(a) = 0, so by linearity
-        the images sum to the solver's own solution for a."""
-        m, tr = self.m, self._tr_basis
-        cols = [_lanes(c + (2 << LANE * j)) for j, c in enumerate(self._power_columns(3))]
+        elements, L's image (its kernel is F_3), by additive Hilbert 90.
+        theta = -Tr(alpha^j0) alpha^j0, j0 the first j with Tr(alpha^j) != 0,
+        has Tr(theta) = -1.  With S_0 = 0 and S_(i+1) = S_i + a^(3^i),
+        S_i^3 = S_(i+1) - a and S_m = Tr(a), so w = sum_(i<m) S_i theta^(3^i)
+        has w^3 - w = a + Tr(a) theta.  Image j is w(alpha^j) less its
+        constant term: the root with constant term 0.  For Tr(a) = 0 the
+        right-hand sides alpha^j + Tr(alpha^j) theta sum to a.  A lane of w
+        sums m reduced products, so it is at most 2 m <= 80."""
+        ring, m, tr = self._ring, self.m, self._tr_basis
         j0 = next(j for j in range(m) if tr[j])
-        # Tr(alpha^j) / Tr(alpha^j0) = tr[j] tr[j0] in F_3
-        rhs = [_lanes((1 << LANE * j) + (-tr[j] * tr[j0] % 3 << LANE * j0)) for j in range(m)]
-        return _chunk_images([solve_linear_mod3(cols, r, m)[0] for r in rhs])
+        theta = [-tr[j0] % 3 << LANE * j0]              # theta^(3^i), i < m
+        for _ in range(m - 1):
+            theta.append(ring.pow(theta[-1], 3))
+        cols = []
+        for j in range(m):
+            a, s, w = 1 << LANE * j, 0, 0               # a^(3^i), S_i, w
+            for t in theta:
+                w += ring.mul(s, t)
+                s, a = _lanes(s + a), ring.pow(a, 3)
+            cols.append(_lanes(w) >> LANE << LANE)
+        return _chunk_images(cols)
 
     @cached_property
     def _non_residue(self) -> "Fe":
@@ -652,30 +615,28 @@ class Fe:
 
         Both signs are valid; the canonical pick keeps outputs reproducible
         across runs (downstream trace conditions are sign-invariant).
+        Residuosity is decided without `is_square`: for a non-square the
+        first two branches give a y with y^2 != x, and Tonelli-Shanks raises.
         """
         f = self.field
         if self.code == 0:
             return self
-        if not self.is_square():
-            raise NonResidue(f"{self} is not a square")
-        if f.m % 2 == 1:
+        if f.log is not None:
+            y = Fe(f, f._exp_mv[f._log_mv[self.code] // 2])
+        elif f.m % 2 == 1:
             y = self ** ((f.q + 1) // 4)
-        elif f.log is not None:
-            y = Fe(f, int(f.exp[int(f.log[self.code]) // 2]))
         else:
             y = self._tonelli_shanks()
+        if y * y != self:
+            raise NonResidue(f"{self} is not a square")
         neg = -y
         return y if y.code <= neg.code else neg
 
     def _tonelli_shanks(self) -> "Fe":
         f = self.field
-        n = f.q - 1
-        s = 0
-        t = n
-        while t % 2 == 0:
-            t //= 2
-            s += 1
-        mexp = s
+        t = f.q - 1
+        mexp = (t & -t).bit_length() - 1        # q - 1 = 2^mexp t, t odd
+        t >>= mexp
         c = f._non_residue ** t
         r = self ** ((t + 1) // 2)
         u = self ** t
@@ -685,6 +646,8 @@ class Fe:
             while probe != f.one:
                 probe = probe * probe
                 i += 1
+            if i == mexp:       # only on the first pass: x^((q-1)/2) = -1
+                raise NonResidue(f"{self} is not a square")
             b = c ** (1 << (mexp - i - 1))
             mexp = i
             c = b * b
@@ -732,7 +695,4 @@ def get_field(m: int, modulus=None) -> Field:
         if m not in BUILTIN_MODULI:
             raise FormatError(f"no builtin modulus for m={m}; pass one explicitly")
         modulus = BUILTIN_MODULI[m]
-    if isinstance(modulus, str):
-        s = modulus[2:] if modulus.startswith("t:") else modulus
-        modulus = _parse_trits(s, "modulus")
-    return _cached_field(m, tuple(modulus))
+    return _cached_field(m, _modulus_tuple(modulus))

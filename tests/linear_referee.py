@@ -1,14 +1,71 @@
 """An elimination-based referee for the division cubic and Artin-Schreier
 equations, independent of the cached operator in ksum3.field.
 
-`solve_linearized` builds the m x m matrix of x -> x^3 + c x for each call
-and runs one `solve_linear_mod3` on it; `cubic_roots` reduces the division
-cubic to it without the Artin-Schreier substitution that ksum3.curve uses.
+`solve_linear_mod3` is the project's only Gaussian elimination: ksum3
+builds its Artin-Schreier operator from a closed form (additive Hilbert
+90) and solves no linear system, so the elimination is kept here, where
+it referees that operator.  `solve_linearized` builds the m x m matrix of
+x -> x^3 + c x for each call and runs one `solve_linear_mod3` on it;
+`cubic_roots` reduces the division cubic to it without the Artin-Schreier
+substitution that ksum3.curve uses.
 """
+
+from typing import Optional, Sequence
 
 from ksum3.curve import rhs
 from ksum3.errors import NotOnCurve
-from ksum3.field import LANE, Fe, _from_code, _lanes, _to_code, solve_linear_mod3
+from ksum3.field import LANE, Fe, _from_code, _lanes, _to_code
+
+
+def solve_linear_mod3(cols: Sequence[int], rhs: int, n: int) -> Optional[tuple]:
+    """Solve sum_j v_j * cols[j] = rhs over F_3: (v, kernel), or None.
+
+    cols[j] is the packed image of the j-th basis vector and rhs a packed
+    vector, each with n lanes reduced mod 3; v and the kernel vectors are
+    packed too, with len(cols) lanes.  One bytes transpose makes each of
+    the n rows a packed int: lane j holds column j, lane len(cols) the
+    right-hand side.  v has every free variable set to zero, so the answer
+    is deterministic.  kernel is a basis of the null space, one vector per
+    free variable (that variable 1, the other free ones 0), in column order.
+
+    Lanes are reduced lazily: only a pivot row is reduced, and entries are
+    read mod 3.  Each row operation adds at most 2 * 2 to a lane, so lanes
+    stay at most 2 + 4 * (pivots so far) <= 2 + 4 * 63 < 2^LANE while
+    min(n, len(cols)) <= 63.
+    """
+    k = len(cols)
+    flat = b"".join(c.to_bytes(n, "little") for c in (*cols, rhs))
+    rows = [int.from_bytes(flat[i::n], "little") for i in range(n)]
+    pivots = []
+    for col in range(k):
+        at = LANE * col
+        row = len(pivots)
+        piv = next((r for r in range(row, n) if (rows[r] >> at & 255) % 3), None)
+        if piv is None:
+            continue
+        prow = _lanes(rows[piv])
+        if prow >> at & 255 == 2:
+            prow = _lanes(2 * prow)
+        rows[piv] = rows[row]
+        rows[row] = prow
+        for r in range(n):
+            fac = (rows[r] >> at & 255) % 3
+            if r != row and fac:
+                rows[r] += (3 - fac) * prow
+        pivots.append(col)
+    rows = [_lanes(r) for r in rows]
+    if any(rows[len(pivots):]):     # a zero row with a nonzero right-hand side
+        return None
+    v = 0
+    for r, col in enumerate(pivots):
+        v |= (rows[r] >> LANE * k & 255) << LANE * col
+    kernel = []
+    for free in sorted(set(range(k)) - set(pivots)):
+        vec = 1 << LANE * free
+        for r, col in enumerate(pivots):
+            vec |= -(rows[r] >> LANE * free & 255) % 3 << LANE * col
+        kernel.append(vec)
+    return v, kernel
 
 
 def solve_linearized(f, c, r) -> list:

@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ksum3 import errors
-from ksum3.field import Field, get_field, is_irreducible
+from ksum3.field import Fe, Field, get_field, is_irreducible
 from linear_referee import solve_linearized
 
 
@@ -202,6 +203,27 @@ def test_even_powers_are_squares(f5, k):
     x = f5.alpha ** (2 * k)
     assert x.is_square()
     assert x.sqrt() in (f5.alpha ** k, -(f5.alpha ** k))
+
+
+@pytest.mark.parametrize("m", [8, 13, 14, 15, 40])
+def test_sqrt_decides_residuosity_without_is_square(m, monkeypatch):
+    """Each branch of sqrt tells squares from non-squares itself: the log
+    tables (m = 8, 13), the power x^((q+1)/4) (odd m = 15) and
+    Tonelli-Shanks (even m = 14, 40, past the table cap)."""
+    f = get_field(m)
+    z = f._non_residue        # Tonelli-Shanks's non-square, found by is_square
+    rng = random.Random(700 + m)
+    ys = [f.el(rng.randrange(1, f.q)) for _ in range(6)]
+
+    def no_is_square(self):
+        raise AssertionError("sqrt ran is_square")
+
+    monkeypatch.setattr(Fe, "is_square", no_is_square)
+    for y in ys:
+        r = (y * y).sqrt()
+        assert r in (y, -y) and r.code <= (-r).code
+        with pytest.raises(errors.NonResidue):
+            (z * y * y).sqrt()
 
 
 def test_sqrt_even_degree_no_tables():

@@ -5,8 +5,10 @@ Small fields are checked exhaustively against their log tables; large ones
 on seeded samples against a schoolbook multiply written here, and moduli
 against sympy.  The table fields' scalar ops (Zech-log add and neg, log
 mul, inv and pow) are checked against a digit-wise add and the schoolbook
-multiply.  The packed Gaussian elimination is checked against brute
-force over F_3^k, and by substitution on systems of up to 63 unknowns.
+multiply.  The referee's packed Gaussian elimination (linear_referee.py)
+is checked against brute force over F_3^k, and by substitution on systems
+of up to 63 unknowns; the field's closed-form Artin-Schreier operator is
+checked against it at every builtin m.
 """
 
 import itertools
@@ -22,19 +24,22 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_pow_mod
 
 from ksum3.field import (
+    LANE,
     Field,
     _apply_images,
+    _chunk_images,
     _from_code,
+    _lanes,
     _to_code,
     get_field,
     is_irreducible,
-    solve_linear_mod3,
 )
 from ksum3.moduli import BUILTIN_MODULI, GROUP_FACTORS
-from linear_referee import solve_linearized
+from linear_referee import solve_linear_mod3, solve_linearized
 
 M14 = "t:210000000000001"
 M40 = "t:21" + "0" * 38 + "1"
+M37 = "t:1000002" + "0" * 30 + "1"
 
 
 def schoolbook_mul(a, b, modulus):
@@ -253,6 +258,31 @@ def test_artin_schreier_operator_matches_elimination(m, modulus):
         x = f.el(rng.randrange(f.q))
         a = x ** 3 - x
         assert f.solve_artin_schreier(a) == solve_linearized(f, -1, a)
+
+
+def elimination_images(f):
+    """The operator's chunk tables as an elimination builds them: image j is
+    the solution, with the one free variable (the constant term) zero, of
+    u^3 - u = alpha^j - (Tr(alpha^j) / Tr(alpha^j0)) alpha^j0, j0 the first
+    j with Tr(alpha^j) != 0."""
+    m, tr = f.m, f._tr_basis
+    cols = [_lanes(c + (2 << LANE * j)) for j, c in enumerate(f._power_columns(3))]
+    j0 = next(j for j in range(m) if tr[j])
+    # Tr(alpha^j) / Tr(alpha^j0) = tr[j] tr[j0] in F_3
+    rhs = [_lanes((1 << LANE * j) + (-tr[j] * tr[j0] % 3 << LANE * j0)) for j in range(m)]
+    return _chunk_images([solve_linear_mod3(cols, r, m)[0] for r in rhs])
+
+
+OPERATOR_FIELDS = [(m, None) for m in range(2, 41)] + [(14, M14), (40, M40), (37, M37)]
+
+
+@pytest.mark.parametrize("m,modulus", OPERATOR_FIELDS,
+                         ids=[f"m{m}-{'builtin' if mod is None else 'other'}"
+                              for m, mod in OPERATOR_FIELDS])
+def test_artin_schreier_images_match_elimination(m, modulus):
+    """The closed-form operator equals the elimination's, table for table."""
+    f = get_field(m, modulus)
+    assert f._artin_schreier_images == elimination_images(f)
 
 
 @pytest.mark.parametrize("m", [14, 39, 40])

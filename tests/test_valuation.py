@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ksum3 import curve, errors, field, oracle, valuation
+from ksum3 import curve, errors, oracle, valuation
 from ksum3.curve import CurveParams
 from ksum3.field import Fe, get_field
 from ksum3.valuation import CYCLE, HIT_ORDER_THREE
@@ -365,30 +365,6 @@ def test_descent_takes_no_square_root(monkeypatch):
     for _ in range(4):
         w = f.el(rng.randrange(1, f.q))
         valuation.descent(CurveParams.make(f, w ** 3 - w))
-
-
-def test_descent_runs_no_elimination(monkeypatch):
-    """solve_linear_mod3 runs only while a field builds its Artin-Schreier
-    operator: a second full descent of the same curves makes no call."""
-    calls = []
-    solve = field.solve_linear_mod3
-
-    def counting(*args):
-        calls.append(1)
-        return solve(*args)
-
-    monkeypatch.setattr(field, "solve_linear_mod3", counting)
-    f6, f40 = get_field(6), get_field(40, M40_MODULUS)
-    w = f40.el(random.Random(43).randrange(1, f40.q))
-    curves = [CurveParams.make(f6, a) for a in f6.nonzero_elements()]
-    curves.append(CurveParams.make(f40, w ** 3 - w))
-    first = [valuation.descent(params, full=True) for params in curves]
-    zero_x = sum(1 for g in first[:-1] for level in g.levels for node in level if not node)
-    assert zero_x == ZERO_X_NODES[6]     # x = 0 nodes solve u^3 - u = a / y too
-    calls.clear()
-    for params in curves:
-        valuation.descent(params, full=True)
-    assert calls == []
 
 
 # ---------------------------------------------------------------------------
