@@ -15,10 +15,12 @@ test suite before anything downstream relies on them.
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import (
+    NonResidue,
     NotOnCurve,
     OrderThreePoint,
     PointNotOnCurve,
@@ -63,6 +65,14 @@ class CurveParams:
 
 def rhs(params: CurveParams, x: Fe) -> Fe:
     return x ** 3 + x ** 2 - params.a
+
+
+def _lift(params: CurveParams, x: Fe) -> Fe:
+    """y = sqrt(x^3 + x^2 - a) of the smaller code; NotOnCurve where sqrt finds none."""
+    try:
+        return rhs(params, x).sqrt()
+    except NonResidue:
+        raise NotOnCurve(f"{x} is not the x-coordinate of a point on E(a)") from None
 
 
 def on_curve(params: CurveParams, p: Point) -> bool:
@@ -146,18 +156,12 @@ def div3_obstruction(params: CurveParams, xi: Fe) -> int:
     """
     if not xi:
         raise ZeroXCoordinate("obstruction undefined at xi = 0")
-    f = rhs(params, xi)
-    if not f.is_square():
-        raise NotOnCurve(f"{xi} is not the x-coordinate of a point on E(a)")
-    return _obstruction(params, xi, f.sqrt())
+    return _obstruction(params, xi, _lift(params, xi))
 
 
 def solve_tripling_cubic(params: CurveParams, xi: Fe) -> list:
     """All x with 3(x, *) having x-coordinate xi, sorted by code ([] if none)."""
-    f = rhs(params, xi)
-    if not f.is_square():
-        raise NotOnCurve(f"{xi} is not the x-coordinate of a point on E(a)")
-    return _divide(params, xi, f.sqrt().cube_root())
+    return _divide(params, xi, _lift(params, xi).cube_root())
 
 
 def _divide(params: CurveParams, xi: Fe, w: Fe) -> list:
@@ -197,29 +201,24 @@ def _divide(params: CurveParams, xi: Fe, w: Fe) -> list:
 
 def sample_point(params: CurveParams, rng: random.Random) -> Point:
     """Uniform-ish rejection sampling of an affine point."""
-    field = params.field
     for _ in range(SAMPLE_POINT_CAP):
-        x = field.random_element(rng)
-        f = rhs(params, x)
-        if f.is_square():
-            return Point(x, f.sqrt())
+        x = params.field.random_element(rng)
+        with suppress(NotOnCurve):
+            return Point(x, _lift(params, x))
     raise SamplingExhausted("no curve point found")  # pragma: no cover
 
 
 def sample_generator_candidate(params: CurveParams, rng: random.Random) -> Point:
     """A point that is not 3-divisible (the tripling-walk start condition):
     x != 0, (x, *) on the curve, and div3_obstruction(x) != 0."""
-    field = params.field
     for _ in range(GENERATOR_CANDIDATE_CAP):
-        x = field.random_element(rng)
+        x = params.field.random_element(rng)
         if not x:
             continue
-        f = rhs(params, x)
-        if not f.is_square():
-            continue
-        y = f.sqrt()
-        if _obstruction(params, x, y):
-            return Point(x, y)
+        with suppress(NotOnCurve):
+            y = _lift(params, x)
+            if _obstruction(params, x, y):
+                return Point(x, y)
     raise SamplingExhausted(
         f"no non-3-divisible point in {GENERATOR_CANDIDATE_CAP} attempts")
 
@@ -228,10 +227,10 @@ def enumerate_points(params: CurveParams) -> Iterator[Point]:
     """All points of E(a), infinity first; intended for desk-scale tests."""
     yield INFINITY
     for x in params.field.elements():
-        f = rhs(params, x)
-        if not f:
-            yield Point(x, params.field.zero)
-        elif f.is_square():
-            y = f.sqrt()
-            yield Point(x, y)
+        try:
+            y = _lift(params, x)
+        except NotOnCurve:
+            continue
+        yield Point(x, y)
+        if y:
             yield Point(x, -y)

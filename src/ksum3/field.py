@@ -465,9 +465,12 @@ class Field:
         return _chunk_images(cols)
 
     @cached_property
-    def _non_residue(self) -> "Fe":
-        """The first non-square by ascending code, for Tonelli-Shanks."""
-        return next(e for e in self.nonzero_elements() if not e.is_square())
+    def _tonelli_shanks_constants(self) -> tuple:
+        """(e, t, z^t): q - 1 = 2^e t with t odd, z the first non-square by code."""
+        t = self.q - 1
+        e = (t & -t).bit_length() - 1
+        t >>= e
+        return e, t, next(x for x in self.nonzero_elements() if not x.is_square()) ** t
 
     def solve_artin_schreier(self, a: "Fe") -> list:
         """All w with w^3 - w = a, as [w, w + 1, w + 2] (the map's kernel is
@@ -615,8 +618,8 @@ class Fe:
 
         Both signs are valid; the canonical pick keeps outputs reproducible
         across runs (downstream trace conditions are sign-invariant).
-        Residuosity is decided without `is_square`: for a non-square the
-        first two branches give a y with y^2 != x, and Tonelli-Shanks raises.
+        Residuosity is decided without `is_square`, past the tables at one
+        power of x: a non-square gives y^2 != x, or Tonelli-Shanks raises.
         """
         f = self.field
         if self.code == 0:
@@ -633,23 +636,23 @@ class Fe:
         return y if y.code <= neg.code else neg
 
     def _tonelli_shanks(self) -> "Fe":
+        """Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1) on the cached (e, t, c)
+        with one power s = x^((t-1)/2): r = s x = x^((t+1)/2), u = s r = x^t."""
         f = self.field
-        t = f.q - 1
-        mexp = (t & -t).bit_length() - 1        # q - 1 = 2^mexp t, t odd
-        t >>= mexp
-        c = f._non_residue ** t
-        r = self ** ((t + 1) // 2)
-        u = self ** t
+        e, t, c = f._tonelli_shanks_constants
+        s = self ** ((t - 1) // 2)
+        r = s * self
+        u = s * r
         while u != f.one:
             i = 0
             probe = u
             while probe != f.one:
                 probe = probe * probe
                 i += 1
-            if i == mexp:       # only on the first pass: x^((q-1)/2) = -1
+            if i == e:          # only on the first pass: x^((q-1)/2) = -1
                 raise NonResidue(f"{self} is not a square")
-            b = c ** (1 << (mexp - i - 1))
-            mexp = i
+            b = c ** (1 << (e - i - 1))
+            e = i
             c = b * b
             u = u * c
             r = r * b

@@ -116,12 +116,12 @@ def lifting_law_check(
     Valuations come from the descent; wherever the brute-force sum is
     affordable it is run too and must agree, else Ksum3Error is raised.
     """
+    ext, emb = build_extension(base, n)     # CapExceeded for n < 2; at n = 0 the split never ends
     h, s = 0, n
     while s % 3 == 0:
         s //= 3
         h += 1
     H = _checked_depth(base, a, oracle_cap, "base field")
-    ext, emb = build_extension(base, n)
     H_n = _checked_depth(ext, emb(a), oracle_cap, "extension")
     return TowerReport(m=base.m, n=n, h=h, s=s, H=H, H_n=H_n, consistent=H_n == H + h)
 
@@ -154,12 +154,10 @@ def adjudicate_k3(base: Field) -> dict:
         if k3 != variant:
             variant_ok = False
         witnesses.append((a.trit_str, k3, printed, variant))
-    if printed_ok and not variant_ok:
-        winner = "printed"
-    elif variant_ok and not printed_ok:
+    if printed_ok:
+        winner = "printed"     # the forms differ by 3q != 0, so never both
+    elif variant_ok:
         winner = "variant"
-    elif printed_ok and variant_ok:
-        winner = "both"  # impossible unless the field has no elements
     else:
         winner = "split"
     return {"m": base.m, "winner": winner, "witnesses": witnesses}

@@ -156,6 +156,19 @@ def test_tower_single_element():
     assert recs[0]["H_n"] == recs[0]["H"]
 
 
+@pytest.mark.parametrize("n", ["0", "1", "-3"])
+def test_tower_degenerate_degree_exits(n):
+    """n < 2 is a CapExceeded usage error; it runs in a subprocess with a
+    timeout, so a hang fails the test instead of stalling the suite."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "ksum3", "--m", "2", "--a", "p:1", "tower",
+                           "--n", n], env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "CapExceeded"
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

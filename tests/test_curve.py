@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -5,7 +7,9 @@ import pytest
 
 from ksum3 import curve, errors, oracle
 from ksum3.curve import INFINITY, CurveParams, Point
-from ksum3.field import get_field
+from ksum3.field import Fe, get_field
+
+M40_MODULUS = "t:21" + "0" * 38 + "1"
 
 
 def all_params(f):
@@ -318,3 +322,75 @@ def test_acceptance_fraction_about_two_thirds(f2):
             if curve.div3_obstruction(params, p.x) != 0:
                 good += 1
     assert abs(good / total - 2 / 3) < 0.15
+
+
+# ---------------------------------------------------------------------------
+# square roots on the curve paths
+# ---------------------------------------------------------------------------
+
+def outcome(fn, *args):
+    """fn(*args) with Fe results as codes, or the name of the error raised."""
+    try:
+        got = fn(*args)
+    except errors.Ksum3Error as exc:
+        return type(exc).__name__
+    return [r.code for r in got] if isinstance(got, list) else got
+
+
+# sha256 over seeded sample_generator_candidate, sample_point,
+# div3_obstruction and solve_tripling_cubic results at m = 5..40, and over
+# enumerate_points for every a at m = 3 and 4.
+SAMPLING_DIGEST = "0cafb7da179ba710892b62b46d0fc34d059563b9201d3ed5faf3a3d5185327d9"
+SAMPLING_FIELDS = [(m, None) for m in (5, 8, 13, 14, 15, 20, 27, 40)] + [(40, M40_MODULUS)]
+
+
+def test_sampling_digest():
+    h = hashlib.sha256()
+    for m, modulus in SAMPLING_FIELDS:
+        f = get_field(m, modulus)
+        rng = random.Random(5000 + m)
+        for _ in range(4):
+            params = CurveParams.make(f, f.el(rng.randrange(1, f.q)))
+            g = curve.sample_generator_candidate(params, rng)
+            p = curve.sample_point(params, rng)
+            out = [g.x.code, g.y.code, p.x.code, p.y.code]
+            for xi in [g.x, p.x, f.zero] + [f.el(rng.randrange(1, f.q)) for _ in range(3)]:
+                out.append((outcome(curve.div3_obstruction, params, xi),
+                            outcome(curve.solve_tripling_cubic, params, xi)))
+            h.update(repr(out).encode())
+    for m in (3, 4):
+        for params in all_params(get_field(m)):
+            h.update(repr([None if p.is_infinity else (p.x.code, p.y.code)
+                           for p in curve.enumerate_points(params)]).encode())
+    assert h.hexdigest() == SAMPLING_DIGEST
+
+
+@pytest.mark.parametrize("m,modulus", [(8, None), (14, None), (15, None), (40, None),
+                                       (40, M40_MODULUS)])
+def test_curve_paths_take_no_is_square(m, modulus, monkeypatch):
+    """sqrt alone decides whether x lifts to the curve, on the log tables
+    (m = 8), the power x^((q+1)/4) (odd m = 15) and Tonelli-Shanks (even
+    m = 14, 40).  Only the search for Tonelli-Shanks's cached constants
+    runs is_square, so it is warmed first."""
+    f = get_field(m, modulus)
+    f._tonelli_shanks_constants
+    rng = random.Random(800 + m)
+    params = CurveParams.make(f, f.el(rng.randrange(1, f.q)))
+    off = next(x for x in (f.el(rng.randrange(1, f.q)) for _ in range(100))
+               if not curve.rhs(params, x).is_square())
+
+    def no_is_square(self):
+        raise AssertionError("curve path ran is_square")
+
+    monkeypatch.setattr(Fe, "is_square", no_is_square)
+    for _ in range(3):
+        g = curve.sample_generator_candidate(params, rng)
+        p = curve.sample_point(params, rng)
+        assert curve.on_curve(params, g) and curve.on_curve(params, p)
+        assert curve.div3_obstruction(params, g.x) != 0
+        assert curve.solve_tripling_cubic(params, g.x) == []
+    points = list(itertools.islice(curve.enumerate_points(params), 1, 40))
+    assert points and all(curve.on_curve(params, q) for q in points)
+    for fn in (curve.div3_obstruction, curve.solve_tripling_cubic):
+        with pytest.raises(errors.NotOnCurve):
+            fn(params, off)

@@ -209,9 +209,11 @@ def test_even_powers_are_squares(f5, k):
 def test_sqrt_decides_residuosity_without_is_square(m, monkeypatch):
     """Each branch of sqrt tells squares from non-squares itself: the log
     tables (m = 8, 13), the power x^((q+1)/4) (odd m = 15) and
-    Tonelli-Shanks (even m = 14, 40, past the table cap)."""
+    Tonelli-Shanks (even m = 14, 40, past the table cap).  Only the search
+    for Tonelli-Shanks's cached constants runs is_square, so it is warmed."""
     f = get_field(m)
-    z = f._non_residue        # Tonelli-Shanks's non-square, found by is_square
+    f._tonelli_shanks_constants
+    z = next(x for x in f.nonzero_elements() if not x.is_square())
     rng = random.Random(700 + m)
     ys = [f.el(rng.randrange(1, f.q)) for _ in range(6)]
 
@@ -342,11 +344,17 @@ def test_primitive_alpha_at_m37():
     assert f.parse("p:1") == f.alpha
 
 
-def test_non_residue_is_first_non_square_and_cached():
-    f = Field(4, get_field(4).modulus)
+@pytest.mark.parametrize("m", [4, 14, 40])
+def test_tonelli_shanks_constants_split_q_and_are_cached(m):
+    """q - 1 = 2^e t with t odd, and c = z^t for the first non-square z,
+    so c has order 2^e: c^(2^(e-1)) = -1."""
+    f = Field(m, get_field(m).modulus)
     f.log = None
     f.exp = None
-    z = f._non_residue
-    assert z is f._non_residue
-    assert not z.is_square()
-    assert all(x.is_square() for x in f.nonzero_elements() if x.code < z.code)
+    consts = f._tonelli_shanks_constants
+    assert consts is f._tonelli_shanks_constants
+    e, t, c = consts
+    assert (1 << e) * t == f.q - 1 and t % 2 == 1
+    assert c ** (1 << (e - 1)) == -f.one
+    z = next(x for x in f.nonzero_elements() if not x.is_square())
+    assert c == z ** t
