@@ -166,7 +166,8 @@ def solve_tripling_cubic(params: CurveParams, xi: Fe) -> list:
 
 def _divide(params: CurveParams, xi: Fe, w: Fe) -> list:
     """The roots, sorted by code, of the division cubic of a point (xi, y)
-    on E(a), given w = y^(1/3); [] when it has none.
+    on E(a), given w = y^(1/3); [] when it has none.  Since R^3 = a y / xi^3
+    below, this is the descent's one test of whether (xi, y) is 3-divisible.
 
     With A = a^(1/3) and X = xi^(1/3) the cubic is
     P(x) = x^3 - X x^2 + A (1 - X) x - A^2 (A + X), and w^2 = X^3 + X^2 - A
@@ -174,29 +175,31 @@ def _divide(params: CurveParams, xi: Fe, w: Fe) -> list:
     u^3 - u = R, solvable iff Tr(R) = 0:
 
       xi = 0:  P(x) = x^3 + A x - a and A = -w^2, so x = w u gives
-               w^3 (u^3 - u) = a: R = a / w^3.
+               w^3 (u^3 - u) = a: R = a / w^3 = A w.
       xi != 0: char 3 kills the cross term of P(t + v), so t = A (1 - 1/X)
                kills its linear term: P(t + v) = d + v^3 - X v^2 with
-               d = P(t) = A^2 w^2 / X^3.  If w = 0 the roots are t and
-               t + X (an order-2 point).  Else v = k / u with
-               k = A w / X^2 gives u^3 - u = R = -A w / X^3.
+               d = P(t) = A^2 w^2 / X^3.  Put R = A w / xi.  For w != 0,
+               v = k / u with k = A w / X^2 gives u^3 - u = -R, whose three
+               solutions multiply to -R: 1 / u = (u^2 - 1) / -R, so
+               v = X (1 - u^2).  For w = 0 (an order-2 point) R = 0, and
+               u in F_3 gives v in {0, X}, the roots of v^2 (v - X).
 
-    R and u change sign with w, so the roots do not.
+    Negating R negates u and keeps u^2, so solving u^3 - u = R gives the
+    same roots; for the same reason they do not depend on the sign of w.
     """
     A = params.a_cuberoot
-    if not xi:
-        R, root = params.a / w ** 3, lambda u: w * u
-    else:
-        X = xi.cube_root()
-        Xinv = X.inv()
-        t = A * (1 - Xinv)
-        if not w:
-            return sorted([t, t + X], key=lambda e: e.code)
-        k = A * w * Xinv * Xinv
-        R, root = -k * Xinv, lambda u: t + k / u
+    R = A * w
+    if xi:
+        xinv = xi.inv()
+        R *= xinv
     if R.trace():
         return []
-    return sorted((root(u) for u in params.field.solve_artin_schreier(R)), key=lambda e: e.code)
+    us = params.field.solve_artin_schreier(R)
+    if not xi:
+        return sorted((w * u for u in us), key=lambda e: e.code)
+    X = xi.cube_root()
+    s, n = A * (1 - xinv.cube_root()) + X, -X            # t + X (1 - u^2)
+    return sorted({s + n * u * u for u in us}, key=lambda e: e.code)
 
 
 def sample_point(params: CurveParams, rng: random.Random) -> Point:

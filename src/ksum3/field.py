@@ -563,12 +563,6 @@ class Fe:
     def inv(self) -> "Fe":
         return Fe(self.field, self.field.code_inv(self.code))
 
-    def safe_inv(self) -> "Fe":
-        """Inverse with the 0 -> 0 convention used by the Kloosterman sum."""
-        if self.code == 0:
-            return self
-        return self.inv()
-
     def __eq__(self, other):
         """An int equals the element only when it is its code 0, 1 or 2
         (unlike arithmetic, which reduces ints mod 3), so that equal values
@@ -586,9 +580,6 @@ class Fe:
         return self.code != 0
 
     # -- characteristic-3 special maps ---------------------------------------
-
-    def frobenius(self) -> "Fe":
-        return self ** 3
 
     def cube_root(self) -> "Fe":
         f = self.field

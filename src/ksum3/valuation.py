@@ -11,10 +11,10 @@ and applies the x-only tripling map.  It ends in one of two ways:
 Either way 3^k exactly divides K(a).  The module also carries the cheap
 divisibility tests (by 9 via the trace, by 27 via the z-parametrization)
 and the level-by-level descent that rebuilds the cyclic 3-subgroup graph.
-The descent decides each node it expands by the trace test
-Tr(a y / x^3) = 0 (3-divisible) before it solves the division cubic, one
-equation u^3 - u = R through the field's cached map; y is carried down from
-the root a^(1/3), whose y is a^(1/3) itself, so it takes no square root.
+The descent expands a node through its division cubic, one equation
+u^3 - u = R whose trace test Tr(R) = 0 is also the node's 3-divisibility
+test, so each node is decided once; y is carried down from the root
+a^(1/3), whose y is a^(1/3) itself, so it takes no square root.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import List, Optional, Tuple
 from .curve import (
     CurveParams,
     _divide,
-    _obstruction,
     div3_obstruction,
     sample_generator_candidate,
     triple_x,
@@ -183,14 +182,15 @@ def descent(params: CurveParams, full: bool = False) -> DescentGraph:
     canonical trit ordering); full=True expands every node, reproducing
     the complete graph of the cyclic 3-subgroup.
 
-    A node (x, y) with x != 0 has children iff Tr(a y / x^3) = 0, so the
-    division cubic, u^3 - u = R for R from x and y^(1/3) (curve._divide),
-    is solved only for nodes that pass and for x = 0.  The root
-    r = a^(1/3) has y = r, since rhs(r) = r^2.  For Q = (x, y) with
-    x^3 != a, y(3Q) = (y G(x) / (x^3 - a))^3 with
-    G(x) = x^3 - a - r (x + r), so a child x of a node with y-coordinate
-    y_parent has y = y_parent^(1/3) (x^3 - a) / G(x).  This holds up to
-    sign (3Q = +-parent), which does not change whether the trace is zero.
+    A node (x, y) has children iff Tr(R) = 0 for the R of its division
+    cubic u^3 - u = R (curve._divide, from x and y^(1/3)); for x != 0 this
+    is the 3-divisibility test Tr(a y / x^3) = 0, and the cubic is solved
+    only for nodes that pass.  The root r = a^(1/3) has y = r, since
+    rhs(r) = r^2.  For Q = (x, y) with x^3 != a,
+    y(3Q) = (y G(x) / (x^3 - a))^3 with G(x) = x^3 - a - r (x + r), so a
+    child x of a node with y-coordinate y_parent has
+    y = y_parent^(1/3) (x^3 - a) / G(x).  This holds up to sign
+    (3Q = +-parent), which does not change whether the trace is zero.
     y is computed only for the nodes that get expanded.
     """
     f, a, r = params.field, params.a, params.a_cuberoot
@@ -198,23 +198,19 @@ def descent(params: CurveParams, full: bool = False) -> DescentGraph:
     edges: List[Tuple[Fe, Fe]] = []
     frontier = [(r, r)]                 # (x, y) of the nodes to expand
     while True:
-        nxt: List[Fe] = []
-        parent_roots: List[Fe] = []     # y_parent^(1/3), one per child
+        nxt: List[Tuple[Fe, Fe]] = []   # (child, y_parent^(1/3))
         for x, y in frontier:
-            if x and _obstruction(params, x, y):
-                continue                # not 3-divisible: no children
             w = y.cube_root()
-            children = _divide(params, x, w)
-            edges.extend((x, c) for c in children)
-            nxt.extend(children)
-            parent_roots.extend([w] * len(children))
+            for c in _divide(params, x, w):
+                edges.append((x, c))
+                nxt.append((c, w))
         if not nxt:
             return DescentGraph(levels=levels, edges=edges)
-        levels.append(nxt)
+        levels.append([c for c, _ in nxt])
         if len(levels) > f.m:
             raise IterationCapExceeded("descent deeper than m levels")
         frontier = []
-        for x, w in zip(nxt if full else nxt[:1], parent_roots):
+        for x, w in nxt if full else nxt[:1]:
             d = x ** 3 - a
             frontier.append((x, w * d / (d - r * (x + r))))
 

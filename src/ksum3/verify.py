@@ -43,7 +43,6 @@ def _field_basics() -> str:
     f = get_field(5)
     al = f.alpha
     _require((al ** 5).trit_str == "t:20202", "alpha^5 reduction")
-    _require(f.zero.safe_inv() == f.zero, "safe_inv(0) = 0")
     _require(al ** 242 == f.one, "group order 242")
     _require((al ** 31).cube_root() == al ** 91, "cube root of a")
     _require((al ** 202).trace() == 1, "trace golden")
@@ -150,7 +149,7 @@ def _tower_laws() -> str:
 
 def _k3_adjudication() -> dict:
     adj = tower.adjudicate_k3(get_field(2))
-    _require(adj["winner"] in ("printed", "variant"), f"split adjudication: {adj}")
+    _require(adj["winner"] == "variant", f"K_3 = 1 - V_3 not confirmed: {adj}")
     return {"winner": adj["winner"]}
 
 

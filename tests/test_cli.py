@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from ksum3 import tower
 from ksum3.cli import build_parser, main
 from ksum3.curve import CurveParams
 from ksum3.field import get_field
@@ -178,6 +179,16 @@ def test_verify_exit_zero():
     assert code == 0
     assert all(r["ok"] for r in recs)
     assert len(recs) == 10
+
+
+def test_verify_requires_the_variant_k3_form(monkeypatch):
+    """K_3 = 1 - V_3 is the variant form, so a "printed" verdict fails."""
+    monkeypatch.setattr(tower, "adjudicate_k3",
+                        lambda base: {"m": base.m, "winner": "printed", "witnesses": []})
+    code, recs = run_json(["--m", "2", "verify"])
+    assert code == 1
+    assert [r["check"] for r in recs if r.get("ok") is False] == ["k3_adjudication"]
+    assert recs[-1] == {"failures": ["k3_adjudication"]}
 
 
 _BROKEN_UNDER_O = """

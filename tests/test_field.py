@@ -69,8 +69,7 @@ def test_int_equality_agrees_with_hash(f5):
     assert {f5.zero: "z"}[0] == "z"
 
 
-def test_safe_inv_zero_is_zero(f5):
-    assert f5.zero.safe_inv() == f5.zero
+def test_inverse_of_zero_raises(f5):
     with pytest.raises(errors.DivisionByZero):
         f5.zero.inv()
 
@@ -118,23 +117,23 @@ def test_cube_root_golden(f5):
 
 
 def test_frobenius_fixed_points(f5):
-    assert f5.zero.frobenius() == f5.zero
-    assert f5.one.frobenius() == f5.one
+    assert f5.zero ** 3 == f5.zero
+    assert f5.one ** 3 == f5.one
 
 
 def test_ninth_root_golden(f5):
     # derived: 144 * 3^3 mod 242 = 16; verified here by cubing twice
     r = (f5.alpha ** 144).ninth_root()
     assert r == f5.alpha ** 16
-    assert r.frobenius().frobenius() == f5.alpha ** 144
+    assert r ** 9 == f5.alpha ** 144
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_cube_root_inverts_frobenius_exhaustive(m):
     f = get_field(m)
     for x in f.elements():
-        assert x.frobenius().cube_root() == x
-        assert x.cube_root().frobenius() == x
+        assert (x ** 3).cube_root() == x
+        assert x.cube_root() ** 3 == x
 
 
 def test_trace_golden(f5):
@@ -170,7 +169,7 @@ def test_trace_additive_and_frobenius_invariant(f5, data):
     x = f5.el(data.draw(codes(f5)))
     y = f5.el(data.draw(codes(f5)))
     assert (x + y).trace() == (x.trace() + y.trace()) % 3
-    assert x.frobenius().trace() == x.trace()
+    assert (x ** 3).trace() == x.trace()
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ def test_inverse(big):
 def test_cube_and_ninth_roots_invert_frobenius(big):
     f, xs = big
     for x in xs:
-        assert x.frobenius().cube_root() == x
+        assert (x ** 3).cube_root() == x
         assert x.cube_root() ** 3 == x
         assert x.ninth_root() ** 9 == x
 

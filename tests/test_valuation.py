@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ksum3 import curve, errors, oracle, valuation
+from ksum3 import curve, errors, field, oracle, valuation
 from ksum3.curve import CurveParams
 from ksum3.field import Fe, get_field
 from ksum3.valuation import CYCLE, HIT_ORDER_THREE
@@ -365,6 +365,78 @@ def test_descent_takes_no_square_root(monkeypatch):
     for _ in range(4):
         w = f.el(rng.randrange(1, f.q))
         valuation.descent(CurveParams.make(f, w ** 3 - w))
+
+
+def test_descent_decides_each_node_once(monkeypatch):
+    """The division cubic's trace test is the descent's only
+    3-divisibility decision: with _obstruction refused, both policies give
+    the graphs they gave before."""
+    cases = [CurveParams.make(get_field(5), a) for a in get_field(5).nonzero_elements()]
+    for m, modulus in ((10, None), (40, M40_MODULUS)):
+        f = get_field(m, modulus)
+        rng = random.Random(3000 + m)
+        for i in range(6):
+            a = f.el(rng.randrange(1, f.q))
+            cases.append(CurveParams.make(f, a ** 3 - a if i % 2 else a))
+
+    def graphs():
+        return [[[n.code for n in lv] for lv in valuation.descent(params, full).levels]
+                for params in cases for full in (False, True)]
+
+    expected = graphs()
+    assert max(len(levels) for levels in expected) >= 3
+
+    def refuse(*args):
+        raise AssertionError("descent tested 3-divisibility outside the cubic")
+
+    for module in (curve, valuation):
+        monkeypatch.setattr(module, "_obstruction", refuse, raising=False)
+    assert graphs() == expected
+
+
+def test_divide_makes_at_most_one_inversion(monkeypatch):
+    """Past the tables an inverse is an extended Euclid (_Ring.inv).  Each
+    division cubic takes at most one, and none at x = 0."""
+    inversions, calls = [0], []         # calls: (solved, inversions) per _divide
+    ring_inv, divide = field._Ring.inv, curve._divide
+
+    def counted_inv(self, a):
+        inversions[0] += 1
+        return ring_inv(self, a)
+
+    def counted_divide(params, xi, w):
+        before = inversions[0]
+        roots = divide(params, xi, w)
+        calls.append((bool(roots), inversions[0] - before))
+        return roots
+
+    monkeypatch.setattr(field._Ring, "inv", counted_inv)
+    monkeypatch.setattr(valuation, "_divide", counted_divide)
+    for m, modulus in SEEDED:
+        f = get_field(m, modulus)
+        if f.log is not None:
+            continue
+        rng = random.Random(1000 + m)
+        for i in range(12):
+            a = f.el(rng.randrange(1, f.q))
+            if i % 2:
+                a = a ** 3 - a
+            if a:
+                valuation.descent(CurveParams.make(f, a))
+    assert all(n <= 1 for _, n in calls)
+    assert {solved for solved, _ in calls} == {False, True}
+
+    # x = 0 nodes: (0, s) lies on E(-s^2)
+    calls.clear()
+    f = get_field(40, M40_MODULUS)
+    rng = random.Random(4040)
+    for _ in range(6):
+        s = f.el(rng.randrange(1, f.q))
+        params = CurveParams.make(f, -s * s)
+        for root in counted_divide(params, f.zero, s.cube_root()):
+            assert curve.triple_x(params, root) == f.zero
+    assert all(n == 0 for _, n in calls)
+    assert {solved for solved, _ in calls} == {False, True}
 
 
 # ---------------------------------------------------------------------------
