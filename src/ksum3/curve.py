@@ -213,17 +213,13 @@ def sample_point(params: CurveParams, rng: random.Random) -> Point:
 
 def sample_generator_candidate(params: CurveParams, rng: random.Random) -> Point:
     """A point that is not 3-divisible (the tripling-walk start condition):
-    x != 0, (x, *) on the curve, and div3_obstruction(x) != 0."""
+    the first sample_point with x != 0 and div3_obstruction(x) != 0."""
     for _ in range(GENERATOR_CANDIDATE_CAP):
-        x = params.field.random_element(rng)
-        if not x:
-            continue
-        with suppress(NotOnCurve):
-            y = _lift(params, x)
-            if _obstruction(params, x, y):
-                return Point(x, y)
+        p = sample_point(params, rng)
+        if p.x and _obstruction(params, p.x, p.y):
+            return p
     raise SamplingExhausted(
-        f"no non-3-divisible point in {GENERATOR_CANDIDATE_CAP} attempts")
+        f"no non-3-divisible point in {GENERATOR_CANDIDATE_CAP} points")
 
 
 def enumerate_points(params: CurveParams) -> Iterator[Point]:

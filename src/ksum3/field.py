@@ -6,28 +6,29 @@ with c_i multiplying x^i encodes to sum(c_i * 3^i).  The zero element is
 code 0, the unit is code 1, and the residue of x (called alpha) is code 3.
 
 Fields small enough (q <= 3^13) carry exp/log tables with respect to a
-multiplicative generator g plus a trace table: the brute-force oracle uses
-them for vectorized numpy passes over whole fields, and the tower module
-needs the generator.  A Zech-log table, zech[k] = log(1 + g^k), makes the
-scalar add a lookup too: g^i + g^j = g^(i + zech[j - i]), and -1 = g^(n/2)
-for n = q - 1 (Huber, IEEE Trans. Inf. Theory 36, 1990).  Scalar ops read
-the tables through memoryviews, which index faster than numpy arrays and
-share their memory.
+multiplicative generator g, which serve the scalar product, inverse, power
+and square root there, plus a trace table, which serves only the oracle's
+numpy passes over whole fields; the tower module needs the generator.  A
+Zech-log table, zech[k] = log(1 + g^k), makes the scalar add a lookup too:
+g^i + g^j = g^(i + zech[j - i]), and -1 = g^(n/2) for n = q - 1 (Huber,
+IEEE Trans. Inf. Theory 36, 1990).  Scalar ops read the tables through
+memoryviews, which index faster than numpy arrays and share their memory.
+Past the tables the square root is Tonelli-Shanks at every m.
 
 All F_3-vector work -- products, powers and inverses past the table cap,
-the table build and the cached linear maps (the cube root and a right
-inverse of u -> u^3 - u) -- runs on packed integers: byte i of a Python
-int holds coordinate i (LANE = 8 bits per trit).  A lane of the integer
-product of two packed polynomials sums at most m <= M_CAP = 40 products
-of two trits, so it is at most 4 * M_CAP = 160 < 2^8 and never carries
-into the next lane; one bytes translation then reduces every lane mod 3.
-The right inverse of u -> u^3 - u needs no linear solve: by additive
-Hilbert 90, with Tr(theta) = -1 and S_i = a + a^3 + ... + a^(3^(i-1)),
-w = sum_(i<m) S_i theta^(3^i) has w^3 - w = a whenever Tr(a) = 0.  Its
-build sums m reduced products per image, so its lanes stay at most 2 m.
-Codes become packed ints and back only at the boundary of each such
-operation; past the table cap that includes the scalar add and negation
-(a packed sum has lanes at most 4, and -x is 2x, which _to_code reduces).
+the table build and the linear maps -- runs on packed integers: byte i of
+a Python int holds coordinate i (LANE = 8 bits per trit).  A lane of the
+integer product of two packed polynomials sums at most m <= M_CAP = 40
+products of two trits, so it is at most 4 * M_CAP = 160 < 2^8 and never
+carries into the next lane; one bytes translation then reduces every lane
+mod 3.  Every F_3-linear map of a code, on every field, is one walk over
+its base-81 digits through chunk tables (_chunk_images): the identity
+(code to packed int), the cube root, the trace and a right inverse of
+u -> u^3 - u.  That inverse needs no linear solve: by additive Hilbert 90,
+with Tr(theta) = -1 and S_i = a + a^3 + ... + a^(3^(i-1)),
+w = sum_(i<m) S_i theta^(3^i) has w^3 - w = a whenever Tr(a) = 0.  Past
+the table cap the scalar add and negation convert too (a packed sum has
+lanes at most 4, and -x is 2x, which _to_code reduces).
 
 External string formats (bit-exact, shared with the CLI):
   "t:20100"  coefficient of x^0 first, m characters in {0,1,2}
@@ -70,7 +71,6 @@ assert 4 * M_CAP < 1 << LANE
 _MOD3 = bytes(v % 3 for v in range(256))          # lane -> lane mod 3
 _NEG3 = bytes(-v % 3 for v in range(256))         # lane -> -lane mod 3
 _DIGIT = bytes(ord("0") + v % 3 for v in range(256))   # lane -> digit of lane mod 3
-_CHUNKS = [bytes(d // 3 ** k % 3 for k in range(4)) for d in range(81)]   # 4 trits of d
 
 
 def _lanes(v: int, table: bytes = _MOD3) -> int:
@@ -85,15 +85,6 @@ def _deg(p: int) -> int:
 
 def _pack(coeffs: Iterable[int]) -> int:
     return int.from_bytes(bytes(coeffs), "little")
-
-
-def _from_code(code: int) -> int:
-    """Packed form of a base-3 element code, four trits at a time."""
-    out = []
-    while code:
-        code, d = divmod(code, 81)
-        out.append(_CHUNKS[d])
-    return int.from_bytes(b"".join(out), "little")
 
 
 def _to_code(p: int, m: int) -> int:
@@ -114,13 +105,23 @@ def _chunk_images(cols: Sequence[int]) -> list:
     return chunks
 
 
-def _apply_images(chunks: list, code: int, m: int) -> int:
-    """The code of the image of a code under a map from _chunk_images."""
-    acc = 0
-    for images in chunks:
-        code, d = divmod(code, 81)
-        acc += images[d]
-    return _to_code(acc, m)
+def _apply_images(chunks: list, code: int) -> int:
+    """The packed image, lanes not reduced, of a code under a map from
+    _chunk_images: one lookup per base-81 digit of the code."""
+    acc = i = 0
+    while code:
+        acc += chunks[i][code % 81]
+        code //= 81
+        i += 1
+    return acc
+
+
+_IDENTITY = _chunk_images([1 << LANE * j for j in range(M_CAP)])
+
+
+def _from_code(code: int) -> int:
+    """Packed form of a base-3 element code: its image under the identity."""
+    return _apply_images(_IDENTITY, code)
 
 
 def _pdivmod(a: int, b: int) -> tuple:
@@ -243,6 +244,11 @@ class Field:
         self.trace_table: Optional[np.ndarray] = None
         self.generator_code: Optional[int] = None
         self._tr_basis = self._trace_basis()
+        # chunk tables of the trace and the cube root, set here and not by a
+        # cached_property: its write through __dict__ slows every later
+        # attribute load of the field, scalar ops included (CPython 3.11)
+        self._trace_images = _chunk_images(self._tr_basis)
+        self._cube_root_images = _chunk_images(self._power_columns(3 ** (m - 1)))
         if self.q <= TABLE_CAP:
             self._build_tables()
 
@@ -435,11 +441,6 @@ class Field:
         return cols
 
     @cached_property
-    def _cube_root_images(self) -> list:
-        """x -> x^(1/3) as chunk tables (_chunk_images) of (alpha^j)^(1/3)."""
-        return _chunk_images(self._power_columns(3 ** (self.m - 1)))
-
-    @cached_property
     def _artin_schreier_images(self) -> list:
         """Chunk tables of a right inverse of L(u) = u^3 - u on the trace-zero
         elements, L's image (its kernel is F_3), by additive Hilbert 90.
@@ -479,7 +480,7 @@ class Field:
         self._check(a)
         if a.trace():
             raise NoSolution(f"trace({a}) != 0, w^3 - w = a unsolvable")
-        w = Fe(self, _apply_images(self._artin_schreier_images, a.code, self.m))
+        w = Fe(self, _to_code(_apply_images(self._artin_schreier_images, a.code), self.m))
         return [w, w + 1, w + 2]
 
     def _check(self, x: "Fe") -> None:
@@ -488,8 +489,6 @@ class Field:
 
     def __repr__(self):
         return f"GF(3^{self.m}; {self.modulus_string()})"
-
-
 
 
 class Fe:
@@ -582,19 +581,19 @@ class Fe:
     # -- characteristic-3 special maps ---------------------------------------
 
     def cube_root(self) -> "Fe":
+        """x^(1/3) = x^(3^(m-1)), read from the chunk tables of the inverse
+        Frobenius (_cube_root_images, columns (alpha^j)^(1/3)) on every field."""
         f = self.field
-        if f.log is not None:
-            return self ** (3 ** (f.m - 1))
-        return Fe(f, _apply_images(f._cube_root_images, self.code, f.m))
+        return Fe(f, _to_code(_apply_images(f._cube_root_images, self.code), f.m))
 
     def ninth_root(self) -> "Fe":
         return self.cube_root().cube_root()
 
     def trace(self) -> int:
-        f = self.field
-        if f.trace_table is not None:
-            return int(f.trace_table[self.code])
-        return sum(c * f._tr_basis[i] for i, c in enumerate(self.coeffs)) % 3
+        """Tr(x) = sum c_i Tr(alpha^i), read from the chunk tables of the
+        trace functional (_trace_images) on every field; trace_table serves
+        only the oracle's numpy passes."""
+        return _apply_images(self.field._trace_images, self.code) % 3
 
     def is_square(self) -> bool:
         if self.code == 0:
@@ -609,26 +608,26 @@ class Fe:
 
         Both signs are valid; the canonical pick keeps outputs reproducible
         across runs (downstream trace conditions are sign-invariant).
-        Residuosity is decided without `is_square`, past the tables at one
-        power of x: a non-square gives y^2 != x, or Tonelli-Shanks raises.
+        Residuosity is decided without `is_square`: with log tables a
+        non-square gives y^2 != x, past them Tonelli-Shanks raises.
         """
         f = self.field
         if self.code == 0:
             return self
-        if f.log is not None:
-            y = Fe(f, f._exp_mv[f._log_mv[self.code] // 2])
-        elif f.m % 2 == 1:
-            y = self ** ((f.q + 1) // 4)
-        else:
+        if f.log is None:
             y = self._tonelli_shanks()
-        if y * y != self:
-            raise NonResidue(f"{self} is not a square")
+        else:
+            y = Fe(f, f._exp_mv[f._log_mv[self.code] // 2])
+            if y * y != self:
+                raise NonResidue(f"{self} is not a square")
         neg = -y
         return y if y.code <= neg.code else neg
 
     def _tonelli_shanks(self) -> "Fe":
         """Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1) on the cached (e, t, c)
-        with one power s = x^((t-1)/2): r = s x = x^((t+1)/2), u = s r = x^t."""
+        with one power s = x^((t-1)/2): r = s x = x^((t+1)/2), u = s r = x^t.
+        At odd m, e = 1: a square has u = 1 and r = x^((q+1)/4), and a
+        non-square has u = -1, on which the first pass raises."""
         f = self.field
         e, t, c = f._tonelli_shanks_constants
         s = self ** ((t - 1) // 2)

@@ -33,15 +33,18 @@ class Embedding:
     base: Field
     ext: Field
     beta: Fe
-    beta_powers: Tuple[Fe, ...]
 
     def __call__(self, x: Fe) -> Fe:
         self.base._check(x)
-        acc = self.ext.zero
-        for c, p in zip(x.coeffs, self.beta_powers):
-            if c:
-                acc = acc + c * p
-        return acc
+        return _horner(x.coeffs, self.beta)
+
+
+def _horner(coeffs, x: Fe) -> Fe:
+    """sum_i coeffs[i] x^i, constant term first, by Horner's rule."""
+    acc = x.field.zero
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _find_root(base: Field, ext: Field) -> Fe:
@@ -51,16 +54,12 @@ def _find_root(base: Field, ext: Field) -> Fe:
     elements are the powers of gamma = g^{(q_ext - 1)/(q_base - 1)} for a
     generator g of the extension, so only those q_base - 1 are evaluated.
     """
-    mod = base.modulus
     g = ext.el(ext.generator_code)
     gamma = g ** ((ext.q - 1) // (base.q - 1))
     best = None
     cur = ext.one
     for _ in range(base.q - 1):
-        acc = ext.zero
-        for c in reversed(mod):
-            acc = acc * cur + c
-        if not acc and (best is None or cur.code < best.code):
+        if not _horner(base.modulus, cur) and (best is None or cur.code < best.code):
             best = cur
         cur = cur * gamma
     if best is None:
@@ -80,11 +79,7 @@ def build_extension(base: Field, n: int) -> Tuple[Field, Embedding]:
     if 3 ** mn > TABLE_CAP:
         raise CapExceeded(f"extension GF(3^{mn}) exceeds the table cap {TABLE_CAP}")
     ext = get_field(mn)
-    beta = _find_root(base, ext)
-    powers = [ext.one]
-    for _ in range(base.m - 1):
-        powers.append(powers[-1] * beta)
-    return ext, Embedding(base=base, ext=ext, beta=beta, beta_powers=tuple(powers))
+    return ext, Embedding(base=base, ext=ext, beta=_find_root(base, ext))
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ def kval(
         u1 = sample_generator_candidate(params, rng).x
     else:
         f._check(u1)
-        if u1 != x0 and div3_obstruction(params, u1) == 0:
+        if div3_obstruction(params, u1) == 0:
             raise ZeroParameter(f"u1={u1} is 3-divisible; start condition violated")
     cap = f.q + 1
     seen = {}

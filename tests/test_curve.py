@@ -369,9 +369,9 @@ def test_sampling_digest():
                                        (40, M40_MODULUS)])
 def test_curve_paths_take_no_is_square(m, modulus, monkeypatch):
     """sqrt alone decides whether x lifts to the curve, on the log tables
-    (m = 8), the power x^((q+1)/4) (odd m = 15) and Tonelli-Shanks (even
-    m = 14, 40).  Only the search for Tonelli-Shanks's cached constants
-    runs is_square, so it is warmed first."""
+    (m = 8) and on Tonelli-Shanks past them (m = 14, 15, 40).  Only the
+    search for Tonelli-Shanks's cached constants runs is_square, so it is
+    warmed first."""
     f = get_field(m, modulus)
     f._tonelli_shanks_constants
     rng = random.Random(800 + m)

@@ -141,20 +141,27 @@ def test_trace_golden(f5):
     assert f5.zero.trace() == 0
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
 def test_trace_class_sizes(m):
+    """Each trace value is taken q/3 times, and trace() agrees with the
+    oracle's numpy trace_table on every element."""
     f = get_field(m)
     counts = [0, 0, 0]
     for x in f.elements():
-        counts[x.trace()] += 1
+        t = x.trace()
+        counts[t] += 1
+        assert t == f.trace_table[x.code]
     assert counts == [f.q // 3] * 3
 
 
 @pytest.mark.parametrize("m, modulus", [(m, None) for m in range(2, 13)]
+                         + [(m, None) for m in (14, 15, 20, 27)]
                          + [(40, "t:21" + "0" * 38 + "1")])
 def test_trace_of_basis_is_sum_of_conjugates(m, modulus):
-    # reference for the trace basis: Tr(x) = x + x^3 + ... + x^(3^(m-1))
+    """Reference for the trace basis: Tr(x) = x + x^3 + ... + x^(3^(m-1)).
+    On seeded elements trace() is then sum c_i Tr(alpha^i)."""
     f = get_field(m, modulus)
+    basis = []
     for j in range(m):
         x = f.alpha ** j
         acc = x
@@ -162,6 +169,10 @@ def test_trace_of_basis_is_sum_of_conjugates(m, modulus):
             x = x ** 3
             acc = acc + x
         assert acc.code == (f.alpha ** j).trace()  # acc lies in F_3
+        basis.append(acc.code)
+    rng = random.Random(600 + m)
+    for x in [f.el(rng.randrange(f.q)) for _ in range(20)]:
+        assert x.trace() == sum(c * t for c, t in zip(x.coeffs, basis)) % 3
 
 
 @given(st.data())
@@ -204,12 +215,13 @@ def test_even_powers_are_squares(f5, k):
     assert x.sqrt() in (f5.alpha ** k, -(f5.alpha ** k))
 
 
-@pytest.mark.parametrize("m", [8, 13, 14, 15, 40])
+@pytest.mark.parametrize("m", [8, 13, 14, 15, 27, 40])
 def test_sqrt_decides_residuosity_without_is_square(m, monkeypatch):
     """Each branch of sqrt tells squares from non-squares itself: the log
-    tables (m = 8, 13), the power x^((q+1)/4) (odd m = 15) and
-    Tonelli-Shanks (even m = 14, 40, past the table cap).  Only the search
-    for Tonelli-Shanks's cached constants runs is_square, so it is warmed."""
+    tables (m = 8, 13) and Tonelli-Shanks (m = 14, 15, 27, 40, past the
+    table cap).  At odd m the root is the canonical sign of x^((q+1)/4).
+    Only the search for Tonelli-Shanks's cached constants runs is_square,
+    so it is warmed."""
     f = get_field(m)
     f._tonelli_shanks_constants
     z = next(x for x in f.nonzero_elements() if not x.is_square())
@@ -223,6 +235,9 @@ def test_sqrt_decides_residuosity_without_is_square(m, monkeypatch):
     for y in ys:
         r = (y * y).sqrt()
         assert r in (y, -y) and r.code <= (-r).code
+        if m % 2:
+            p = (y * y) ** ((f.q + 1) // 4)
+            assert r == min(p, -p, key=lambda e: e.code)
         with pytest.raises(errors.NonResidue):
             (z * y * y).sqrt()
 

@@ -56,6 +56,23 @@ def test_kval_rejects_divisible_start(f5, params31):
         valuation.kval(params31, u1=f5.alpha ** 7)  # obstruction vanishes there
 
 
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_kval_from_a_cuberoot_exhaustive(m):
+    """At x0 = a^(1/3) the point is (x0, +-x0), so the start check reads
+    Tr(a x0 / x0^3) = Tr(x0) = Tr(a): a walk from x0 is refused when Tr(a) = 0 and
+    otherwise ends at once with k = 1, the descent's depth."""
+    f = get_field(m)
+    for a in f.nonzero_elements():
+        params = CurveParams.make(f, a)
+        if a.trace() == 0:
+            with pytest.raises(errors.ZeroParameter):
+                valuation.kval(params, u1=params.a_cuberoot)
+        else:
+            rep = valuation.kval(params, u1=params.a_cuberoot)
+            assert (rep.k, rep.case) == (1, HIT_ORDER_THREE)
+            assert rep.k == valuation.descent(params).t
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_kval_matches_oracle_exhaustive(m):
     f = get_field(m)
