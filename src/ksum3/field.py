@@ -40,7 +40,7 @@ optional for moduli).
 from __future__ import annotations
 
 import random
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -220,7 +220,7 @@ def _modulus_tuple(modulus) -> tuple:
 
 
 class Field:
-    """A concrete GF(3^m) together with its cached tables."""
+    """A concrete GF(3^m) together with its tables."""
 
     def __init__(self, m: int, modulus):
         modulus = _modulus_tuple(modulus)
@@ -235,6 +235,7 @@ class Field:
         self.m = m
         self.q = 3 ** m
         self.modulus = modulus
+        self.zero, self.one, self.alpha = Fe(self, 0), Fe(self, 1), Fe(self, 3)
         self._ring = _Ring(modulus)
         self.group_factors = GROUP_FACTORS[m]
         self.alpha_primitive = self._order_is_full(1 << LANE)
@@ -244,13 +245,16 @@ class Field:
         self.trace_table: Optional[np.ndarray] = None
         self.generator_code: Optional[int] = None
         self._tr_basis = self._trace_basis()
-        # chunk tables of the trace and the cube root, set here and not by a
-        # cached_property: its write through __dict__ slows every later
-        # attribute load of the field, scalar ops included (CPython 3.11)
+        # every per-field constant is a plain attribute set here, none built
+        # on first use: a lazy write through __dict__ after construction
+        # slows every later attribute load of the field, scalar ops
+        # included (CPython 3.11)
         self._trace_images = _chunk_images(self._tr_basis)
         self._cube_root_images = _chunk_images(self._power_columns(3 ** (m - 1)))
+        self._artin_schreier_images = self._build_artin_schreier_images()
         if self.q <= TABLE_CAP:
             self._build_tables()
+        self._tonelli_shanks_constants = self._build_tonelli_shanks_constants()
 
     # -- construction helpers ------------------------------------------------
 
@@ -387,18 +391,6 @@ class Field:
             raise FormatError(f"element code {code} out of range")
         return Fe(self, code)
 
-    @property
-    def zero(self) -> "Fe":
-        return Fe(self, 0)
-
-    @property
-    def one(self) -> "Fe":
-        return Fe(self, 1)
-
-    @property
-    def alpha(self) -> "Fe":
-        return Fe(self, 3)
-
     def elements(self) -> Iterator["Fe"]:
         for code in range(self.q):
             yield Fe(self, code)
@@ -440,8 +432,7 @@ class Field:
             cols.append(ring.mul(cols[-1], image))
         return cols
 
-    @cached_property
-    def _artin_schreier_images(self) -> list:
+    def _build_artin_schreier_images(self) -> list:
         """Chunk tables of a right inverse of L(u) = u^3 - u on the trace-zero
         elements, L's image (its kernel is F_3), by additive Hilbert 90.
         theta = -Tr(alpha^j0) alpha^j0, j0 the first j with Tr(alpha^j) != 0,
@@ -465,8 +456,7 @@ class Field:
             cols.append(_lanes(w) >> LANE << LANE)
         return _chunk_images(cols)
 
-    @cached_property
-    def _tonelli_shanks_constants(self) -> tuple:
+    def _build_tonelli_shanks_constants(self) -> tuple:
         """(e, t, z^t): q - 1 = 2^e t with t odd, z the first non-square by code."""
         t = self.q - 1
         e = (t & -t).bit_length() - 1
@@ -475,7 +465,7 @@ class Field:
 
     def solve_artin_schreier(self, a: "Fe") -> list:
         """All w with w^3 - w = a, as [w, w + 1, w + 2] (the map's kernel is
-        F_3), w the one with constant term zero, from the cached operator
+        F_3), w the one with constant term zero, from the field's operator
         _artin_schreier_images; NoSolution when Tr(a) != 0."""
         self._check(a)
         if a.trace():
@@ -596,12 +586,8 @@ class Fe:
         return _apply_images(self.field._trace_images, self.code) % 3
 
     def is_square(self) -> bool:
-        if self.code == 0:
-            return True
-        f = self.field
-        if f.log is not None:
-            return int(f.log[self.code]) % 2 == 0
-        return self ** ((f.q - 1) // 2) == f.one
+        """Euler's criterion; with log tables the power is one lookup."""
+        return not self or self ** ((self.field.q - 1) // 2) == 1
 
     def sqrt(self) -> "Fe":
         """The square root y with y^2 = x and the smaller code of {y, -y}.
@@ -624,7 +610,7 @@ class Fe:
         return y if y.code <= neg.code else neg
 
     def _tonelli_shanks(self) -> "Fe":
-        """Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1) on the cached (e, t, c)
+        """Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1) on the field's (e, t, c)
         with one power s = x^((t-1)/2): r = s x = x^((t+1)/2), u = s r = x^t.
         At odd m, e = 1: a square has u = 1 and r = x^((q+1)/4), and a
         non-square has u = -1, on which the first pass raises."""

@@ -369,11 +369,10 @@ def test_sampling_digest():
                                        (40, M40_MODULUS)])
 def test_curve_paths_take_no_is_square(m, modulus, monkeypatch):
     """sqrt alone decides whether x lifts to the curve, on the log tables
-    (m = 8) and on Tonelli-Shanks past them (m = 14, 15, 40).  Only the
-    search for Tonelli-Shanks's cached constants runs is_square, so it is
-    warmed first."""
+    (m = 8) and on Tonelli-Shanks past them (m = 14, 15, 40).  The field
+    builds Tonelli-Shanks's constants in its constructor, so once it
+    exists no curve path runs is_square."""
     f = get_field(m, modulus)
-    f._tonelli_shanks_constants
     rng = random.Random(800 + m)
     params = CurveParams.make(f, f.el(rng.randrange(1, f.q)))
     off = next(x for x in (f.el(rng.randrange(1, f.q)) for _ in range(100))

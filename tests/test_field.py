@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -196,9 +197,12 @@ def test_f9_has_four_nonzero_squares(f2):
     assert len(squares) == 4
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_sqrt_squares_exhaustive(m):
+    """is_square (Euler's criterion) holds exactly on the products y y,
+    and sqrt inverts squaring there and raises elsewhere."""
     f = get_field(m)
+    assert {x for x in f.elements() if x.is_square()} == {y * y for y in f.elements()}
     for x in f.elements():
         if x.is_square():
             y = x.sqrt()
@@ -220,10 +224,9 @@ def test_sqrt_decides_residuosity_without_is_square(m, monkeypatch):
     """Each branch of sqrt tells squares from non-squares itself: the log
     tables (m = 8, 13) and Tonelli-Shanks (m = 14, 15, 27, 40, past the
     table cap).  At odd m the root is the canonical sign of x^((q+1)/4).
-    Only the search for Tonelli-Shanks's cached constants runs is_square,
-    so it is warmed."""
+    Tonelli-Shanks's constants are built with the field, so once the
+    field exists no path of sqrt runs is_square."""
     f = get_field(m)
-    f._tonelli_shanks_constants
     z = next(x for x in f.nonzero_elements() if not x.is_square())
     rng = random.Random(700 + m)
     ys = [f.el(rng.randrange(1, f.q)) for _ in range(6)]
@@ -361,14 +364,29 @@ def test_primitive_alpha_at_m37():
 @pytest.mark.parametrize("m", [4, 14, 40])
 def test_tonelli_shanks_constants_split_q_and_are_cached(m):
     """q - 1 = 2^e t with t odd, and c = z^t for the first non-square z,
-    so c has order 2^e: c^(2^(e-1)) = -1."""
-    f = Field(m, get_field(m).modulus)
-    f.log = None
-    f.exp = None
-    consts = f._tonelli_shanks_constants
-    assert consts is f._tonelli_shanks_constants
-    e, t, c = consts
+    so c has order 2^e: c^(2^(e-1)) = -1, with tables (m = 4) and past
+    them (m = 14, 40)."""
+    f = get_field(m)
+    e, t, c = f._tonelli_shanks_constants
     assert (1 << e) * t == f.q - 1 and t % 2 == 1
     assert c ** (1 << (e - 1)) == -f.one
     z = next(x for x in f.nonzero_elements() if not x.is_square())
     assert c == z ** t
+
+
+def test_field_is_complete_when_constructed():
+    """Every per-field constant is a plain attribute set by Field.__init__:
+    no cached_property or property on Field, the Artin-Schreier operator
+    and the Tonelli-Shanks constants present on a fresh field, one shared
+    zero, one and alpha, and no attribute written by later use."""
+    assert not [k for k, v in vars(Field).items()
+                if isinstance(v, (functools.cached_property, property))]
+    f = Field(40, "t:21" + "0" * 38 + "1")
+    assert {"_artin_schreier_images", "_tonelli_shanks_constants"} <= vars(f).keys()
+    assert f.one is f.one and f.zero is f.zero and f.alpha is f.alpha
+    state = dict(vars(f))
+    x = f.el(random.Random(40).randrange(1, f.q))
+    (x * x).sqrt()
+    f.solve_artin_schreier(x ** 3 - x)
+    assert x.cube_root() ** 3 == x and (x * x).is_square()
+    assert vars(f) == state
