@@ -24,9 +24,11 @@ carries into the next lane; one bytes translation then reduces every lane
 mod 3.  Every F_3-linear map of a code, on every field, is one walk over
 its base-81 digits through chunk tables (_chunk_images): the identity
 (code to packed int), the cube root, the trace and a right inverse of
-u -> u^3 - u.  That inverse needs no linear solve: by additive Hilbert 90,
-with Tr(theta) = -1 and S_i = a + a^3 + ... + a^(3^(i-1)),
-w = sum_(i<m) S_i theta^(3^i) has w^3 - w = a whenever Tr(a) = 0.  Past
+u -> u^3 - u.  The last three are read off one table of conjugates,
+conj[k][j] = (alpha^(3^k))^j: row m - 1 is the cube root, column j sums
+to Tr(alpha^j), and the inverse needs no linear solve: by additive
+Hilbert 90, with Tr(theta) = -1 and C_k = sum_(k<i<m) theta^(3^i),
+w = sum_(k<m) a^(3^k) C_k has w^3 - w = a whenever Tr(a) = 0.  Past
 the table cap the scalar add and negation convert too (a packed sum has
 lanes at most 4, and -x is 2x, which _to_code reduces).
 
@@ -244,14 +246,15 @@ class Field:
         self.log: Optional[np.ndarray] = None
         self.trace_table: Optional[np.ndarray] = None
         self.generator_code: Optional[int] = None
-        self._tr_basis = self._trace_basis()
         # every per-field constant is a plain attribute set here, none built
         # on first use: a lazy write through __dict__ after construction
         # slows every later attribute load of the field, scalar ops
         # included (CPython 3.11)
+        conj = self._conjugate_powers()
+        self._tr_basis = [_lanes(sum(col)) for col in zip(*conj)]   # Tr(alpha^j)
         self._trace_images = _chunk_images(self._tr_basis)
-        self._cube_root_images = _chunk_images(self._power_columns(3 ** (m - 1)))
-        self._artin_schreier_images = self._build_artin_schreier_images()
+        self._cube_root_images = _chunk_images(conj[-1])
+        self._artin_schreier_images = self._build_artin_schreier_images(conj)
         if self.q <= TABLE_CAP:
             self._build_tables()
         self._tonelli_shanks_constants = self._build_tonelli_shanks_constants()
@@ -262,15 +265,18 @@ class Field:
         n = self.q - 1
         return all(self._ring.pow(packed, n // p) != 1 for p in self.group_factors)
 
-    def _trace_basis(self) -> list:
-        """tr_basis[j] = Tr(alpha^j) in {0,1,2}; trace is F_3-linear.  These
-        are the power sums of the roots of the modulus f, from Newton's
-        identities p_k = -(k f_{m-k} + sum_{i<k} f_{m-i} p_{k-i})."""
-        f, m = self.modulus, self.m
-        p = [m % 3]
-        for k in range(1, m):
-            p.append(-(k * f[m - k] + sum(f[m - i] * p[k - i] for i in range(1, k))) % 3)
-        return p
+    def _conjugate_powers(self) -> list:
+        """conj[k][j] = (alpha^(3^k))^j, packed, for k, j < m: row k is the
+        matrix of x -> x^(3^k), and column j holds the conjugates of alpha^j."""
+        ring, m = self._ring, self.m
+        conj, root = [], 1 << LANE                      # root = alpha^(3^k)
+        for _ in range(m):
+            row = [1]
+            for _ in range(m - 1):
+                row.append(ring.mul(row[-1], root))
+            conj.append(row)
+            root = ring.pow(root, 3)
+        return conj
 
     def _build_tables(self):
         m, q = self.m, self.q
@@ -422,39 +428,25 @@ class Field:
     def modulus_string(self) -> str:
         return "t:" + "".join(str(c) for c in self.modulus)
 
-    def _power_columns(self, e: int) -> list:
-        """Packed (alpha^j)^e for j = 0..m-1: the matrix of x -> x^e when
-        that map is F_3-linear (e a power of 3)."""
-        ring = self._ring
-        image = ring.pow(1 << LANE, e)
-        cols = [1]
-        for _ in range(self.m - 1):
-            cols.append(ring.mul(cols[-1], image))
-        return cols
-
-    def _build_artin_schreier_images(self) -> list:
+    def _build_artin_schreier_images(self, conj: list) -> list:
         """Chunk tables of a right inverse of L(u) = u^3 - u on the trace-zero
-        elements, L's image (its kernel is F_3), by additive Hilbert 90.
+        elements, L's image (its kernel is F_3), by additive Hilbert 90, read
+        off the conjugates conj[k][j] = (alpha^(3^k))^j.
         theta = -Tr(alpha^j0) alpha^j0, j0 the first j with Tr(alpha^j) != 0,
-        has Tr(theta) = -1.  With S_0 = 0 and S_(i+1) = S_i + a^(3^i),
-        S_i^3 = S_(i+1) - a and S_m = Tr(a), so w = sum_(i<m) S_i theta^(3^i)
-        has w^3 - w = a + Tr(a) theta.  Image j is w(alpha^j) less its
-        constant term: the root with constant term 0.  For Tr(a) = 0 the
-        right-hand sides alpha^j + Tr(alpha^j) theta sum to a.  A lane of w
-        sums m reduced products, so it is at most 2 m <= 80."""
+        has Tr(theta) = -1 and theta^(3^i) = -Tr(alpha^j0) conj[i][j0].  With
+        C_k = sum_(k<i<m) theta^(3^i), C_k^3 = C_(k+1) + theta for k < m - 1
+        and theta + C_0 = Tr(theta), so w = sum_(k<m) a^(3^k) C_k has
+        w^3 - w = a + Tr(a) theta.  Image j is w(alpha^j) less its constant
+        term: the root with constant term 0.  For Tr(a) = 0 the right-hand
+        sides alpha^j + Tr(alpha^j) theta sum to a.  A lane of w sums m
+        reduced products, so it is at most 2 m <= 80."""
         ring, m, tr = self._ring, self.m, self._tr_basis
         j0 = next(j for j in range(m) if tr[j])
-        theta = [-tr[j0] % 3 << LANE * j0]              # theta^(3^i), i < m
-        for _ in range(m - 1):
-            theta.append(ring.pow(theta[-1], 3))
-        cols = []
-        for j in range(m):
-            a, s, w = 1 << LANE * j, 0, 0               # a^(3^i), S_i, w
-            for t in theta:
-                w += ring.mul(s, t)
-                s, a = _lanes(s + a), ring.pow(a, 3)
-            cols.append(_lanes(w) >> LANE << LANE)
-        return _chunk_images(cols)
+        theta = [-tr[j0] % 3 * row[j0] for row in conj]         # theta^(3^i)
+        cs = [_lanes(sum(theta[k + 1:])) for k in range(m - 1)]  # C_k; C_(m-1) = 0
+        return _chunk_images([
+            _lanes(sum(ring.mul(row[j], c) for row, c in zip(conj, cs))) >> LANE << LANE
+            for j in range(m)])
 
     def _build_tonelli_shanks_constants(self) -> tuple:
         """(e, t, z^t): q - 1 = 2^e t with t odd, z the first non-square by code."""

@@ -189,9 +189,9 @@ def descent(params: CurveParams, full: bool = False) -> DescentGraph:
     rhs(r) = r^2.  For Q = (x, y) with x^3 != a,
     y(3Q) = (y G(x) / (x^3 - a))^3 with G(x) = x^3 - a - r (x + r), so a
     child x of a node with y-coordinate y_parent has
-    y = y_parent^(1/3) (x^3 - a) / G(x).  This holds up to sign
-    (3Q = +-parent), which does not change whether the trace is zero.
-    y is computed only for the nodes that get expanded.
+    y = y_parent^(1/3) (x^3 - a) / G(x), exactly: 3 (x, y) is the parent
+    point itself, not its negative.  y is computed only for the nodes
+    that get expanded.
     """
     f, a, r = params.field, params.a, params.a_cuberoot
     levels: List[List[Fe]] = [[r]]

@@ -7,7 +7,8 @@ builds its Artin-Schreier operator from a closed form (additive Hilbert
 it referees that operator.  `solve_linearized` builds the m x m matrix of
 x -> x^3 + c x for each call and runs one `solve_linear_mod3` on it;
 `cubic_roots` reduces the division cubic to it without the Artin-Schreier
-substitution that ksum3.curve uses.
+substitution that ksum3.curve uses.  `trace_basis` referees the field's
+trace by Newton's identities, without its table of conjugates.
 """
 
 from typing import Optional, Sequence
@@ -15,6 +16,17 @@ from typing import Optional, Sequence
 from ksum3.curve import rhs
 from ksum3.errors import NotOnCurve
 from ksum3.field import LANE, Fe, _from_code, _lanes, _to_code
+
+
+def trace_basis(field) -> list:
+    """tr_basis[j] = Tr(alpha^j) in {0,1,2}; trace is F_3-linear.  These
+    are the power sums of the roots of the modulus f, from Newton's
+    identities p_k = -(k f_{m-k} + sum_{i<k} f_{m-i} p_{k-i})."""
+    f, m = field.modulus, field.m
+    p = [m % 3]
+    for k in range(1, m):
+        p.append(-(k * f[m - k] + sum(f[m - i] * p[k - i] for i in range(1, k))) % 3)
+    return p
 
 
 def solve_linear_mod3(cols: Sequence[int], rhs: int, n: int) -> Optional[tuple]:
@@ -78,7 +90,8 @@ def solve_linearized(f, c, r) -> list:
     c, r = f.zero._co(c), f.zero._co(r)
     ring, m = f._ring, f.m
     cols, cx = [], _from_code(c.code)       # cx = c alpha^j
-    for frob in f._power_columns(3):        # alpha^(3j)
+    for j in range(m):
+        frob = ring.pow(1 << LANE * j, 3)   # alpha^(3j)
         cols.append(_lanes(frob + cx))      # image of alpha^j
         cx <<= LANE                         # times alpha; x^m = neg_low mod f
         cx = _lanes((cx & ring.low) + (cx >> LANE * m) * ring.neg_low)

@@ -8,7 +8,8 @@ mul, inv and pow) are checked against a digit-wise add and the schoolbook
 multiply.  The referee's packed Gaussian elimination (linear_referee.py)
 is checked against brute force over F_3^k, and by substitution on systems
 of up to 63 unknowns; the field's closed-form Artin-Schreier operator is
-checked against it at every builtin m.
+checked against it at every builtin m, and its trace and cube-root maps
+against Newton's identities and packed powers.
 """
 
 import itertools
@@ -35,7 +36,7 @@ from ksum3.field import (
     is_irreducible,
 )
 from ksum3.moduli import BUILTIN_MODULI, GROUP_FACTORS
-from linear_referee import solve_linear_mod3, solve_linearized
+from linear_referee import solve_linear_mod3, solve_linearized, trace_basis
 
 M14 = "t:210000000000001"
 M40 = "t:21" + "0" * 38 + "1"
@@ -266,7 +267,7 @@ def elimination_images(f):
     u^3 - u = alpha^j - (Tr(alpha^j) / Tr(alpha^j0)) alpha^j0, j0 the first
     j with Tr(alpha^j) != 0."""
     m, tr = f.m, f._tr_basis
-    cols = [_lanes(c + (2 << LANE * j)) for j, c in enumerate(f._power_columns(3))]
+    cols = [_lanes(f._ring.pow(1 << LANE * j, 3) + (2 << LANE * j)) for j in range(m)]
     j0 = next(j for j in range(m) if tr[j])
     # Tr(alpha^j) / Tr(alpha^j0) = tr[j] tr[j0] in F_3
     rhs = [_lanes((1 << LANE * j) + (-tr[j] * tr[j0] % 3 << LANE * j0)) for j in range(m)]
@@ -274,15 +275,23 @@ def elimination_images(f):
 
 
 OPERATOR_FIELDS = [(m, None) for m in range(2, 41)] + [(14, M14), (40, M40), (37, M37)]
+NON_PRIMITIVE_FIELDS = [(len(t) - 3, t) for t in NON_PRIMITIVE]
 
 
-@pytest.mark.parametrize("m,modulus", OPERATOR_FIELDS,
+@pytest.mark.parametrize("m,modulus", OPERATOR_FIELDS + NON_PRIMITIVE_FIELDS,
                          ids=[f"m{m}-{'builtin' if mod is None else 'other'}"
-                              for m, mod in OPERATOR_FIELDS])
+                              for m, mod in OPERATOR_FIELDS]
+                         + [f"m{m}-{mod[2:]}" for m, mod in NON_PRIMITIVE_FIELDS])
 def test_artin_schreier_images_match_elimination(m, modulus):
-    """The closed-form operator equals the elimination's, table for table."""
+    """The maps read off the table of conjugates equal their referees,
+    table for table: the closed-form operator the elimination's, the trace
+    basis Newton's identities, and the cube root the powers
+    (alpha^j)^(3^(m-1))."""
     f = get_field(m, modulus)
     assert f._artin_schreier_images == elimination_images(f)
+    assert f._tr_basis == trace_basis(f)
+    roots = [f._ring.pow(1 << LANE * j, 3 ** (m - 1)) for j in range(m)]
+    assert f._cube_root_images == _chunk_images(roots)
 
 
 @pytest.mark.parametrize("m", [14, 39, 40])

@@ -372,6 +372,39 @@ def test_tripled_y_identity_m40():
         assert y3 in (tripled_y(params, p.x, p.y), -tripled_y(params, p.x, p.y))
 
 
+# children checked per m, (default policy, full policy), over every a != 0
+NODES_BELOW_ROOT = {2: (6, 6), 3: (33, 51), 4: (102, 222), 5: (435, 2175), 6: (1191, 9897)}
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_descent_y_recurrence_is_exact(m, full):
+    """The descent docstring's recurrence, replayed with curve._divide,
+    gives each child c the y_c with 3 (c, y_c) = (x, y) exactly, not up to
+    sign, for every node (x, y) of the graph, the root (r, r) included."""
+    f = get_field(m)
+    checked = 0
+    for a in f.nonzero_elements():
+        params = CurveParams.make(f, a)
+        r = params.a_cuberoot
+        levels, frontier = [[r]], [(r, r)]
+        while frontier:
+            children = []
+            for x, y in frontier:
+                w = y.cube_root()
+                for c in curve._divide(params, x, w):
+                    d = c ** 3 - a
+                    yc = w * d / (d - r * (c + r))
+                    assert curve.scalar_mul(params, 3, curve.Point(c, yc)) == curve.Point(x, y)
+                    children.append((c, yc))
+                    checked += 1
+            if children:
+                levels.append([c for c, _ in children])
+            frontier = children if full else children[:1]
+        assert levels == valuation.descent(params, full).levels
+    assert checked == NODES_BELOW_ROOT[m][full]
+
+
 def test_descent_takes_no_square_root(monkeypatch):
     def no_sqrt(self):
         raise AssertionError("descent took a square root")
