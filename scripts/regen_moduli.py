@@ -18,16 +18,22 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from sympy import factorint
 
 from ksum3 import moduli
-from ksum3.errors import ReducibleModulus
-from ksum3.field import M_CAP, Field
+from ksum3.field import LANE, M_CAP, _modulus_tuple, _order_is_full, _Ring, is_irreducible
 
 PINNED = {5: "t:101011"}
 
 
+def alpha_is_primitive(modulus: tuple) -> bool:
+    """Whether modulus is irreducible and its residue of x generates the
+    multiplicative group: no field and no tables are built."""
+    m = len(modulus) - 1
+    return (is_irreducible(modulus)
+            and _order_is_full(_Ring(modulus), 1 << LANE, 3 ** m, moduli.GROUP_FACTORS[m]))
+
+
 def find_modulus(m: int) -> str:
     if m in PINNED:
-        f = Field(m, PINNED[m])
-        assert f.alpha_primitive
+        assert alpha_is_primitive(_modulus_tuple(PINNED[m]))
         return PINNED[m]
     for code in range(3 ** m):
         coeffs = []
@@ -37,18 +43,15 @@ def find_modulus(m: int) -> str:
             c //= 3
         if coeffs[0] == 0:
             continue  # x divides
-        try:
-            f = Field(m, tuple(coeffs) + (1,))
-        except ReducibleModulus:
-            continue
-        if f.alpha_primitive:
-            return f.modulus_string()
+        modulus = tuple(coeffs) + (1,)
+        if alpha_is_primitive(modulus):
+            return "t:" + "".join(map(str, modulus))
     raise RuntimeError(f"no primitive modulus found for m={m}")
 
 
 def main():
     factors = {m: sorted(factorint(3 ** m - 1)) for m in range(2, M_CAP + 1)}
-    moduli.GROUP_FACTORS.update(factors)   # Field reads it, so new degrees work too
+    moduli.GROUP_FACTORS.update(factors)   # alpha_is_primitive reads it, so new degrees work too
     lines = []
     for m in range(2, M_CAP + 1):
         s = find_modulus(m)

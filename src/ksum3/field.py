@@ -13,7 +13,10 @@ Zech-log table, zech[k] = log(1 + g^k), makes the scalar add a lookup too:
 g^i + g^j = g^(i + zech[j - i]), and -1 = g^(n/2) for n = q - 1 (Huber,
 IEEE Trans. Inf. Theory 36, 1990).  Scalar ops read the tables through
 memoryviews, which index faster than numpy arrays and share their memory.
-Past the tables the square root is Tonelli-Shanks at every m.
+numpy is imported only where the tables are built or read whole (the table
+build, the vectorized code ops, the oracle), so a field past the table cap
+never loads it.  Past the tables the square root is Tonelli-Shanks at every
+m.
 
 All F_3-vector work -- products, powers and inverses past the table cap,
 the table build and the linear maps -- runs on packed integers: byte i of
@@ -28,9 +31,14 @@ u -> u^3 - u.  The last three are read off one table of conjugates,
 conj[k][j] = (alpha^(3^k))^j: row m - 1 is the cube root, column j sums
 to Tr(alpha^j), and the inverse needs no linear solve: by additive
 Hilbert 90, with Tr(theta) = -1 and C_k = sum_(k<i<m) theta^(3^i),
-w = sum_(k<m) a^(3^k) C_k has w^3 - w = a whenever Tr(a) = 0.  Past
-the table cap the scalar add and negation convert too (a packed sum has
-lanes at most 4, and -x is 2x, which _to_code reduces).
+w = sum_(k<m) a^(3^k) C_k has w^3 - w = a whenever Tr(a) = 0.  Rows
+2^i < m of conj are the Frobenius powers x -> x^(3^(2^i)), each one walk,
+about the cost of one product, and past the table cap they chain with
+products (Itoh & Tsujii, Inf. Comput. 78, 1988) into x^(sum_(j<n) 3^(s j))
+in O(log n) steps: the inverse is x^(r-1) times x^r = +-1, r = (q-1)/2,
+and Tonelli-Shanks's power x^((t-1)/2), q - 1 = 2^e t, splits t the same
+way.  Past the table cap the scalar add and negation convert too (a packed
+sum has lanes at most 4, and -x is 2x, which _to_code reduces).
 
 External string formats (bit-exact, shared with the CLI):
   "t:20100"  coefficient of x^0 first, m characters in {0,1,2}
@@ -44,8 +52,6 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     CapExceeded,
@@ -171,16 +177,18 @@ class _Ring:
                 r = self.mul(r, a)
         return r
 
-    def inv(self, a: int) -> int:
-        """Extended Euclid: s with s * a = 1 mod f."""
-        r0, r1, s0, s1 = self.f, a, 0, 1
-        while r1:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _lanes(q * s1 + 2 * s0, _NEG3)   # s0 - q * s1
-        if _deg(r0) != 0:
-            raise DivisionByZero("element not invertible")
-        return s0 if r0 == 1 else _lanes(s0, _NEG3)
+
+def _order_is_full(ring: _Ring, packed: int, q: int, factors: Sequence[int]) -> bool:
+    """Whether packed has order q - 1 in F_q*, factors the primes of q - 1."""
+    return all(ring.pow(packed, (q - 1) // p) != 1 for p in factors)
+
+
+def _tonelli_shanks_split(m: int, e: int) -> tuple:
+    """(L, o, B) with L = m & -m, o = m / L odd and B = (3^L - 1) / 2^e odd,
+    for q - 1 = 3^m - 1 = 2^e t, t odd.  As o is odd, sum_(j<o) 3^(L j) is
+    odd, so 3^L - 1 holds all of 2^e and t = B sum_(j<o) 3^(L j)."""
+    L = m & -m
+    return L, m // L, (3 ** L - 1) >> e
 
 
 def is_irreducible(modulus: Sequence[int]) -> bool:
@@ -240,11 +248,9 @@ class Field:
         self.zero, self.one, self.alpha = Fe(self, 0), Fe(self, 1), Fe(self, 3)
         self._ring = _Ring(modulus)
         self.group_factors = GROUP_FACTORS[m]
-        self.alpha_primitive = self._order_is_full(1 << LANE)
+        self.alpha_primitive = _order_is_full(self._ring, 1 << LANE, self.q, self.group_factors)
         # tables
-        self.exp: Optional[np.ndarray] = None
-        self.log: Optional[np.ndarray] = None
-        self.trace_table: Optional[np.ndarray] = None
+        self.exp = self.log = self.trace_table = None   # numpy arrays, with tables
         self.generator_code: Optional[int] = None
         # every per-field constant is a plain attribute set here, none built
         # on first use: a lazy write through __dict__ after construction
@@ -254,16 +260,14 @@ class Field:
         self._tr_basis = [_lanes(sum(col)) for col in zip(*conj)]   # Tr(alpha^j)
         self._trace_images = _chunk_images(self._tr_basis)
         self._cube_root_images = _chunk_images(conj[-1])
+        # x -> x^(3^(2^i)) for 2^i < m, the steps of _frobenius_chain
+        self._frobenius_images = [_chunk_images(conj[1 << i]) for i in range((m - 1).bit_length())]
         self._artin_schreier_images = self._build_artin_schreier_images(conj)
         if self.q <= TABLE_CAP:
             self._build_tables()
         self._tonelli_shanks_constants = self._build_tonelli_shanks_constants()
 
     # -- construction helpers ------------------------------------------------
-
-    def _order_is_full(self, packed: int) -> bool:
-        n = self.q - 1
-        return all(self._ring.pow(packed, n // p) != 1 for p in self.group_factors)
 
     def _conjugate_powers(self) -> list:
         """conj[k][j] = (alpha^(3^k))^j, packed, for k, j < m: row k is the
@@ -279,6 +283,7 @@ class Field:
         return conj
 
     def _build_tables(self):
+        import numpy as np
         m, q = self.m, self.q
         gen = (1 << LANE) if self.alpha_primitive else self._find_generator()   # alpha or g
         self.generator_code = _to_code(gen, m)
@@ -305,7 +310,7 @@ class Field:
     def _find_generator(self) -> int:
         for code in range(2, self.q):
             packed = _from_code(code)
-            if self._order_is_full(packed):
+            if _order_is_full(self._ring, packed, self.q, self.group_factors):
                 return packed
         raise ReducibleModulus("no multiplicative generator found")  # unreachable
 
@@ -347,7 +352,7 @@ class Field:
             raise DivisionByZero("inverse of zero")
         if self.log is not None:
             return self._exp_mv[-self._log_mv[a] % (self.q - 1)]
-        return _to_code(self._ring.inv(_from_code(a)), self.m)
+        return _to_code(self._chain_inv(_from_code(a)), self.m)
 
     def code_pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -361,9 +366,56 @@ class Field:
             return self._exp_mv[self._log_mv[a] * e % (self.q - 1)]
         return _to_code(self._ring.pow(_from_code(a), e), self.m)
 
+    # -- Frobenius-power chains (Itoh & Tsujii, Inf. Comput. 78, 1988) -------
+
+    def _frobenius(self, p: int, i: int) -> int:
+        """p^(3^(2^i)) for packed p, reduced: one walk through the chunk
+        tables _frobenius_images[i]."""
+        return _lanes(_apply_images(self._frobenius_images[i], _to_code(p, self.m)))
+
+    def _frobenius_chain(self, y: int, s: int, n: int) -> int:
+        """y^(sum_(j<n) 3^(s j)) for packed y, n >= 1 and a stride s that is
+        a power of two, right to left over the bits of n.  block holds
+        y^(sum_(j<2^k) 3^(s j)) and doubles as F_(s 2^k)(block) block; a set
+        bit k folds into total as F_(s 2^k)(total) block, F_d the map
+        x -> x^(3^d).  Only F_d with d < s n are read."""
+        mul, i = self._ring.mul, s.bit_length() - 1
+        block, total = y, None
+        while True:
+            if n & 1:
+                total = block if total is None else mul(self._frobenius(total, i), block)
+            n >>= 1
+            if not n:
+                return total
+            block = mul(self._frobenius(block, i), block)
+            i += 1
+
+    def _chain_inv(self, x: int) -> int:
+        """x^(-1) for packed nonzero x: b = F_1(x^(sum_(j<m-1) 3^j)) is
+        x^(r-1) with r = (q-1)/2, so b x = x^r = +-1 (Euler's criterion)
+        and x^(-1) = +-b."""
+        b = self._frobenius(self._frobenius_chain(x, 1, self.m - 1), 0)
+        return b if self._ring.mul(b, x) == 1 else _lanes(b, _NEG3)
+
+    def _tonelli_shanks_power(self, x: int) -> int:
+        """x^((t-1)/2) for packed x, q - 1 = 2^e t with t odd.  With L, o, B
+        from _tonelli_shanks_split, t = B sum_(j<o) 3^(L j), and
+        x^((t-1)/2) = x^((B-1)/2) F_L(y N_L(y))^Psi for y = x^B,
+        N_L(y) = y^(sum_(j<L) 3^j) and Psi = sum_(j<(o-1)/2) 3^(2 L j);
+        at o = 1 (m a power of two) it is the binary power x^((B-1)/2)."""
+        ring = self._ring
+        L, o, B = _tonelli_shanks_split(self.m, self._tonelli_shanks_constants[0])
+        s = ring.pow(x, (B - 1) // 2)
+        if o == 1:
+            return s
+        y = ring.mul(ring.mul(s, s), x)   # x^B
+        z = self._frobenius(ring.mul(y, self._frobenius_chain(y, 1, L)), L.bit_length() - 1)
+        return ring.mul(s, self._frobenius_chain(z, 2 * L, (o - 1) // 2))
+
     # -- vectorized code arithmetic (numpy int64 arrays) ---------------------
 
     def add_codes(self, a, b):
+        import numpy as np
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         res = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
@@ -378,6 +430,7 @@ class Field:
     def mul_codes(self, a, b):
         if self.log is None:
             raise CapExceeded("vectorized path needs exp/log tables (q <= 3^13)")
+        import numpy as np
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         out = self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
@@ -386,6 +439,7 @@ class Field:
     def pow_codes(self, a, e: int):
         if self.log is None:
             raise CapExceeded("vectorized path needs exp/log tables (q <= 3^13)")
+        import numpy as np
         a = np.asarray(a, dtype=np.int64)
         out = self.exp[(self.log[a] * (e % (self.q - 1))) % (self.q - 1)]
         return np.where(a == 0, 0, out)
@@ -603,12 +657,13 @@ class Fe:
 
     def _tonelli_shanks(self) -> "Fe":
         """Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1) on the field's (e, t, c)
-        with one power s = x^((t-1)/2): r = s x = x^((t+1)/2), u = s r = x^t.
+        with one power s = x^((t-1)/2), from Frobenius-power chains
+        (Field._tonelli_shanks_power): r = s x = x^((t+1)/2), u = s r = x^t.
         At odd m, e = 1: a square has u = 1 and r = x^((q+1)/4), and a
         non-square has u = -1, on which the first pass raises."""
         f = self.field
         e, t, c = f._tonelli_shanks_constants
-        s = self ** ((t - 1) // 2)
+        s = Fe(f, _to_code(f._tonelli_shanks_power(_from_code(self.code)), f.m))
         r = s * self
         u = s * r
         while u != f.one:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CapExceeded, Ksum3Error, ZeroParameter
 from .field import Fe, Field
 
@@ -52,6 +50,7 @@ def kloosterman_sum(field: Field, a: Fe) -> KloostermanValue:
     if not a:
         raise ZeroParameter("K(a) requires a != 0")
     _require_tables(field)
+    import numpy as np
     n = field.q - 1
     la = int(field.log[a.code])
     counts = np.zeros(3, dtype=np.int64)
@@ -77,6 +76,7 @@ def curve_order(field: Field, a: Fe) -> int:
     if not a:
         raise ZeroParameter("E(a) requires a != 0")
     _require_tables(field)
+    import numpy as np
     q = field.q
     neg_a = field.code_neg(a.code)
     total = q + 1  # the "1 +" per x, plus infinity

@@ -245,15 +245,24 @@ def test_sqrt_decides_residuosity_without_is_square(m, monkeypatch):
             (z * y * y).sqrt()
 
 
-def test_sqrt_even_degree_no_tables():
-    # exercises the Tonelli-Shanks fallback path
-    f = Field(4, get_field(4).modulus)
-    f.log = None
-    f.exp = None
-    for x in list(f.elements())[:30]:
-        if x.is_square() and x:
-            y = x._tonelli_shanks()
-            assert y * y == x
+def test_sqrt_without_tables_every_element():
+    """The Tonelli-Shanks path, tables nulled, on every x at m = 2..7: every
+    shape of m = L o (L = 1, 2, 4; o = 1, 3, 5, 7).  Each square gets the
+    table field's root, canonical sign included; each non-square raises."""
+    for m in range(2, 8):
+        g = get_field(m)
+        f = Field(m, g.modulus)
+        f.log = None
+        f.exp = None
+        for code in range(1, f.q):
+            x = f.el(code)
+            if g.el(code).is_square():
+                y = x._tonelli_shanks()
+                assert y * y == x
+                assert x.sqrt().code == g.el(code).sqrt().code
+            else:
+                with pytest.raises(errors.NonResidue):
+                    x.sqrt()
 
 
 # ---------------------------------------------------------------------------

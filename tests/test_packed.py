@@ -32,6 +32,7 @@ from ksum3.field import (
     _from_code,
     _lanes,
     _to_code,
+    _tonelli_shanks_split,
     get_field,
     is_irreducible,
 )
@@ -88,7 +89,8 @@ def untrits(coeffs):
 # ---------------------------------------------------------------------------
 
 NON_PRIMITIVE = ["t:101", "t:2011", "t:2221", "t:10111", "t:20201"]
-TABLE_FIELDS = [(m, None) for m in (2, 3, 4, 5)] + [(len(t) - 3, t) for t in NON_PRIMITIVE]
+NON_PRIMITIVE_FIELDS = [(len(t) - 3, t) for t in NON_PRIMITIVE]
+TABLE_FIELDS = [(m, None) for m in (2, 3, 4, 5)] + NON_PRIMITIVE_FIELDS
 
 
 def check_scalar_ops(f, pairs):
@@ -166,7 +168,39 @@ def test_packed_inverse_powers_and_cube_root_match_log_tables(m):
             assert _to_code(f._ring.pow(p, e), m) == f.code_pow(a, e)
         assert _to_code(_apply_images(f._cube_root_images, a), m) == f.code_pow(a, 3 ** (m - 1))
         if a:
-            assert _to_code(f._ring.inv(p), m) == f.code_inv(a)
+            assert _to_code(f._chain_inv(p), m) == f.code_inv(a)
+
+
+@pytest.mark.parametrize("m,modulus", [(m, None) for m in range(2, 8)] + NON_PRIMITIVE_FIELDS,
+                         ids=[f"m{m}" for m in range(2, 8)]
+                         + [f"m{m}-{mod[2:]}" for m, mod in NON_PRIMITIVE_FIELDS])
+def test_chain_inverse_and_tonelli_shanks_power_match_log_tables(m, modulus):
+    """The Frobenius-power chains equal the log-table inverse and power
+    x^((t-1)/2), q - 1 = 2^e t with t odd, on every nonzero element."""
+    f = Field(m, modulus) if modulus else get_field(m)
+    _, t, _ = f._tonelli_shanks_constants
+    for a in range(1, f.q):
+        p = _from_code(a)
+        assert _to_code(f._chain_inv(p), m) == f.code_inv(a)
+        assert _to_code(f._tonelli_shanks_power(p), m) == f.code_pow(a, (t - 1) // 2)
+
+
+@pytest.mark.parametrize("m", range(2, 41))
+def test_chains_at_every_degree(m):
+    """t = B sum_(j<o) 3^(L j), L = m & -m, o = m / L and B odd: the split
+    _tonelli_shanks_power chains; and both chains against x x^(-1) = 1 and
+    the binary power on seeded elements, at every builtin m, so at every
+    (L, o) the degrees up to M_CAP have (o = 1 at m = 16 and 32)."""
+    f = get_field(m)
+    e, t, _ = f._tonelli_shanks_constants
+    L, o, B = _tonelli_shanks_split(m, e)
+    assert L * o == m and L & (L - 1) == 0 and o % 2 == 1 and B % 2 == 1
+    assert B * sum(3 ** (L * j) for j in range(o)) == t
+    rng = random.Random(3000 + m)
+    for _ in range(3):
+        p = _from_code(rng.randrange(1, f.q))
+        assert f._ring.mul(f._chain_inv(p), p) == 1
+        assert f._tonelli_shanks_power(p) == f._ring.pow(p, (t - 1) // 2)
 
 
 @pytest.mark.parametrize("modulus", NON_PRIMITIVE)
@@ -218,6 +252,17 @@ def test_inverse(big):
     f, xs = big
     for x in xs:
         assert x * x.inv() == f.one
+
+
+def test_chain_inverse_and_tonelli_shanks_power(big):
+    """The Frobenius-power chains against x x^(-1) = 1 and the binary power
+    x^((t-1)/2), q - 1 = 2^e t with t odd."""
+    f, xs = big
+    _, t, _ = f._tonelli_shanks_constants
+    for x in xs:
+        p = _from_code(x.code)
+        assert f._ring.mul(f._chain_inv(p), p) == 1
+        assert f._tonelli_shanks_power(p) == f._ring.pow(p, (t - 1) // 2)
 
 
 def test_cube_and_ninth_roots_invert_frobenius(big):
@@ -275,7 +320,6 @@ def elimination_images(f):
 
 
 OPERATOR_FIELDS = [(m, None) for m in range(2, 41)] + [(14, M14), (40, M40), (37, M37)]
-NON_PRIMITIVE_FIELDS = [(len(t) - 3, t) for t in NON_PRIMITIVE]
 
 
 @pytest.mark.parametrize("m,modulus", OPERATOR_FIELDS + NON_PRIMITIVE_FIELDS,
@@ -285,13 +329,16 @@ NON_PRIMITIVE_FIELDS = [(len(t) - 3, t) for t in NON_PRIMITIVE]
 def test_artin_schreier_images_match_elimination(m, modulus):
     """The maps read off the table of conjugates equal their referees,
     table for table: the closed-form operator the elimination's, the trace
-    basis Newton's identities, and the cube root the powers
-    (alpha^j)^(3^(m-1))."""
+    basis Newton's identities, the cube root the powers (alpha^j)^(3^(m-1)),
+    and Frobenius power i the powers (alpha^j)^(3^(2^i)) for 2^i < m."""
     f = get_field(m, modulus)
     assert f._artin_schreier_images == elimination_images(f)
     assert f._tr_basis == trace_basis(f)
     roots = [f._ring.pow(1 << LANE * j, 3 ** (m - 1)) for j in range(m)]
     assert f._cube_root_images == _chunk_images(roots)
+    assert len(f._frobenius_images) == (m - 1).bit_length()
+    for i, images in enumerate(f._frobenius_images):
+        assert images == _chunk_images([f._ring.pow(1 << LANE * j, 3 ** (1 << i)) for j in range(m)])
 
 
 @pytest.mark.parametrize("m", [14, 39, 40])
@@ -477,6 +524,18 @@ def test_group_factors_match_sympy():
     assert sorted(GROUP_FACTORS) == list(range(2, 41))
     for m, primes in GROUP_FACTORS.items():
         assert primes == sorted(factorint(3 ** m - 1)), m
+
+
+def test_fields_past_the_tables_do_not_import_numpy():
+    """numpy serves only the tables and the oracle's whole-field passes:
+    importing ksum3 and building a field past the table cap must not load
+    it."""
+    code = ("import sys, ksum3\n"
+            f"ksum3.get_field(40, {M40!r})\n"
+            "assert 'numpy' not in sys.modules\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_runtime_does_not_import_sympy():

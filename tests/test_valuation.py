@@ -445,14 +445,15 @@ def test_descent_decides_each_node_once(monkeypatch):
 
 
 def test_divide_makes_at_most_one_inversion(monkeypatch):
-    """Past the tables an inverse is an extended Euclid (_Ring.inv).  Each
-    division cubic takes at most one, and none at x = 0."""
+    """Past the tables an inverse is a Frobenius-power chain
+    (Field._chain_inv).  Each division cubic takes at most one, and none at
+    x = 0."""
     inversions, calls = [0], []         # calls: (solved, inversions) per _divide
-    ring_inv, divide = field._Ring.inv, curve._divide
+    chain_inv, divide = field.Field._chain_inv, curve._divide
 
     def counted_inv(self, a):
         inversions[0] += 1
-        return ring_inv(self, a)
+        return chain_inv(self, a)
 
     def counted_divide(params, xi, w):
         before = inversions[0]
@@ -460,7 +461,7 @@ def test_divide_makes_at_most_one_inversion(monkeypatch):
         calls.append((bool(roots), inversions[0] - before))
         return roots
 
-    monkeypatch.setattr(field._Ring, "inv", counted_inv)
+    monkeypatch.setattr(field.Field, "_chain_inv", counted_inv)
     monkeypatch.setattr(valuation, "_divide", counted_divide)
     for m, modulus in SEEDED:
         f = get_field(m, modulus)
