@@ -133,8 +133,28 @@ def scalar_mul(params: CurveParams, n: int, p: Point) -> Point:
 def triple_x(params: CurveParams, u: Fe) -> Fe:
     """x-coordinate of 3P from x(P) = u: ((u^3 - a)^3 + a u^3) / (u^3 - a)^2.
 
-    The walk's step, so it works on element codes and builds one Fe."""
+    The walk's step, so it works on element codes and builds one Fe.  With
+    log tables it is two Zech-log lookups (Huber, IEEE Trans. Inf. Theory
+    36, 1990).  Put n = q - 1, h = n / 2 (g^h = -1), Z the Zech table
+    (g^Z[k] = 1 + g^k, Z[h] = -1 marking 0), l = log a and U = 3 log u.
+    u = 0 maps to -a = g^(l + h), and U = l is u^3 = a.  Otherwise, as
+    g^k - 1 = -(1 + g^(k + h)), d = u^3 - a has log D = l + h + Z[U - l + h],
+    and num = d^3 + a u^3 = g^(3D) (1 + g^(l + U - 3D)), so num / d^2 is 0
+    where z = Z[l + U - 3D] is -1 and g^(D + z) otherwise (indices mod n)."""
     f, a = params.field, params.a.code
+    if f.log is not None:
+        log, n = f._log_mv, f.q - 1
+        h = n >> 1
+        la = log[a]
+        if not u.code:
+            return Fe(f, f._exp_mv[(la + h) % n])
+        U = 3 * log[u.code] % n
+        if U == la:
+            raise OrderThreePoint("u^3 = a: 3P is the identity, no x-coordinate")
+        zech = f._zech_mv
+        D = la + h + zech[(U - la + h) % n]
+        z = zech[(la + U - 3 * D) % n]
+        return Fe(f, 0 if z < 0 else f._exp_mv[(D + z) % n])
     u3 = f.code_pow(u.code, 3)
     d = f.code_add(u3, f.code_neg(a))
     if not d:

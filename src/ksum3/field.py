@@ -632,8 +632,14 @@ class Fe:
         return _apply_images(self.field._trace_images, self.code) % 3
 
     def is_square(self) -> bool:
-        """Euler's criterion; with log tables the power is one lookup."""
-        return not self or self ** ((self.field.q - 1) // 2) == 1
+        """Euler's criterion x^((q-1)/2) = 1: with log tables the power is
+        one lookup, past them one chain x^(sum_(j<m) 3^j)."""
+        f = self.field
+        if not self:
+            return True
+        if f.log is not None:
+            return self ** ((f.q - 1) // 2) == 1
+        return f._frobenius_chain(_from_code(self.code), 1, f.m) == 1
 
     def sqrt(self) -> "Fe":
         """The square root y with y^2 = x and the smaller code of {y, -y}.
@@ -689,14 +695,15 @@ class Fe:
 
     @property
     def trit_str(self) -> str:
-        return "t:" + "".join(str(c) for c in self.coeffs)
+        raw = _from_code(self.code).to_bytes(self.field.m, "little")
+        return "t:" + raw.translate(_DIGIT).decode()
 
     @property
     def power_str(self) -> Optional[str]:
         f = self.field
         if not f.alpha_primitive or f.log is None or self.code == 0:
             return None
-        return f"p:{int(f.log[self.code])}"
+        return f"p:{f._log_mv[self.code]}"
 
     def __repr__(self):
         p = self.power_str

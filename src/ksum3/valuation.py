@@ -68,7 +68,6 @@ def kval(
     walk exactly.
     """
     f = params.field
-    x0 = params.a_cuberoot
     if u1 is None:
         if rng is None:
             rng = random.Random(0)
@@ -77,25 +76,19 @@ def kval(
         f._check(u1)
         if div3_obstruction(params, u1) == 0:
             raise ZeroParameter(f"u1={u1} is 3-divisible; start condition violated")
-    cap = f.q + 1
+    # code -> element in walk order, the trail so far.  Each pass stores a
+    # new code, so the walk ends within q steps.
+    hit = params.a_cuberoot.code
     seen = {}
-    trail: List[Fe] = []
     u = u1
-    i = 1
-    while True:
-        trail.append(u)
-        if u.code == x0.code:
-            return ValuationReport(k=i, case=HIT_ORDER_THREE, r=None, trail=trail, u1=u1)
-        first = seen.get(u.code)
-        if first is not None:
-            return ValuationReport(
-                k=first - 1, case=CYCLE, r=i - first, trail=trail, u1=u1
-            )
-        seen[u.code] = i
+    while (c := u.code) not in seen and c != hit:
+        seen[c] = u
         u = triple_x(params, u)
-        i += 1
-        if i > cap:
-            raise IterationCapExceeded("tripling walk exceeded 3^m + 1 steps")
+    trail = [*seen.values(), u]
+    if c == hit:
+        return ValuationReport(k=len(trail), case=HIT_ORDER_THREE, r=None, trail=trail, u1=u1)
+    first = list(seen).index(c)
+    return ValuationReport(k=first, case=CYCLE, r=len(seen) - first, trail=trail, u1=u1)
 
 
 def is_kloosterman_zero(params: CurveParams) -> bool:

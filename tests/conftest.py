@@ -3,8 +3,9 @@ import sys
 import pytest
 from hypothesis import settings
 
+from ksum3 import field
 from ksum3.curve import CurveParams
-from ksum3.field import get_field
+from ksum3.field import Field, get_field
 
 settings.register_profile("ksum3", deadline=None, max_examples=60)
 settings.load_profile("ksum3")
@@ -34,6 +35,18 @@ def f5():
 def params31(f5):
     """The worked-example curve: F_{3^5} with phi = x^5+x^4+x^2+1, a = alpha^31."""
     return CurveParams.make(f5, f5.alpha ** 31)
+
+
+@pytest.fixture(scope="session")
+def tableless():
+    """Build a table-less copy of a field: the same modulus, constructed
+    with field.TABLE_CAP at 0, so it carries no exp/log/Zech tables and
+    every op takes the packed path of the fields past the cap."""
+    def build(f):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(field, "TABLE_CAP", 0)
+            return Field(f.m, f.modulus)
+    return build
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -161,6 +162,33 @@ def test_triple_x_past_table_cap(m, modulus):
             p = curve.sample_point(params, rng)
             assert p.x ** 3 != params.a
             assert curve.triple_x(params, p.x) == curve.scalar_mul(params, 3, p).x
+
+
+@pytest.mark.parametrize("m,modulus", [(m, None) for m in range(2, 7)] + [(4, "t:11111")])
+def test_triple_x_log_form_matches_table_less_field(m, modulus, tableless):
+    """triple_x on Zech logs equals the nine-op formula of a table-less
+    field of the same modulus on every (a, u), u = 0 and u = a^(1/3)
+    included; alpha is not primitive mod t:11111.  The referee's one-code
+    ops are memoized, which keeps m = 6 to seconds."""
+    f = get_field(m, modulus)
+    g = tableless(f)
+    assert f.log is not None and g.log is None
+    for name in ("code_neg", "code_inv", "code_pow"):
+        setattr(g, name, functools.lru_cache(maxsize=None)(getattr(g, name)))
+
+    def steps(params):
+        out = []
+        for code in range(params.field.q):
+            try:
+                out.append(curve.triple_x(params, params.field.el(code)).code)
+            except errors.OrderThreePoint:
+                out.append(None)
+        return out
+
+    for a in range(1, f.q):
+        want = steps(CurveParams.make(g, g.el(a)))
+        assert want.count(None) == 1
+        assert steps(CurveParams.make(f, f.el(a))) == want
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])

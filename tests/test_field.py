@@ -245,15 +245,14 @@ def test_sqrt_decides_residuosity_without_is_square(m, monkeypatch):
             (z * y * y).sqrt()
 
 
-def test_sqrt_without_tables_every_element():
-    """The Tonelli-Shanks path, tables nulled, on every x at m = 2..7: every
-    shape of m = L o (L = 1, 2, 4; o = 1, 3, 5, 7).  Each square gets the
-    table field's root, canonical sign included; each non-square raises."""
+def test_sqrt_without_tables_every_element(tableless):
+    """The Tonelli-Shanks path, on a table-less field, on every x at
+    m = 2..7: every shape of m = L o (L = 1, 2, 4; o = 1, 3, 5, 7).  Each
+    square gets the table field's root, canonical sign included; each
+    non-square raises."""
     for m in range(2, 8):
         g = get_field(m)
-        f = Field(m, g.modulus)
-        f.log = None
-        f.exp = None
+        f = tableless(g)
         for code in range(1, f.q):
             x = f.el(code)
             if g.el(code).is_square():
@@ -342,6 +341,16 @@ def test_trit_format_example(f5):
     x = f5.parse("t:20100")
     assert x == 2 + f5.alpha ** 2
     assert x.trit_str == "t:20100"
+
+
+@pytest.mark.parametrize("m", [5, 14, 40])
+def test_trit_str_lists_the_coefficients(m):
+    """trit_str is "t:" and the coefficients, x^0 first, on seeded elements."""
+    f = get_field(m)
+    rng = random.Random(m)
+    for x in [f.zero, f.one] + [f.random_element(rng) for _ in range(50)]:
+        assert x.trit_str == "t:" + "".join(map(str, x.coeffs))
+        assert f.parse(x.trit_str) == x
 
 
 def test_power_format_roundtrip(f5):

@@ -281,6 +281,22 @@ def test_is_square_matches_euler_criterion(big):
         assert x.is_square() == (euler == one)
 
 
+@pytest.mark.parametrize("m,modulus", [(14, M14), (20, None), (27, None), (40, None), (40, M40)])
+def test_is_square_chain_matches_binary_power(m, modulus):
+    """Past the tables is_square is the chain x^(sum_(j<m) 3^j); it agrees
+    with the binary power x^((q-1)/2) = 1, on squares and non-squares."""
+    f = get_field(m, modulus)
+    assert f.exp is None
+    rng = random.Random(2000 + m)
+    xs = [f.el(rng.randrange(1, f.q)) for _ in range(12)]
+    verdicts = set()
+    for x in xs + [x * x for x in xs[:4]]:
+        euler = f.code_pow(x.code, (f.q - 1) // 2) == 1
+        assert x.is_square() == euler
+        verdicts.add(euler)
+    assert verdicts == {False, True}
+
+
 def test_solve_linearized_m40_recovers_x():
     f = get_field(40, M40)
     rng = random.Random(4040)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -49,6 +50,31 @@ def test_kval_golden_walk_r2(f5, params31):
     assert [u.power_str for u in rep.trail] == \
         ["p:193", "p:199", "p:50", "p:197", "p:223", "p:197"]
     check_report_invariants(params31, rep)
+
+
+WALK_DIGESTS = {
+    8: "3f36d442e0f959e9e68c835678c39ac0b209dd6c14dda2e0790037fbb2987ace",
+    9: "9b24b54aa42edeb198d7edfec68300b590752644f2d2d659cd76f1fe44b458e4",
+    10: "af166a2d00a26dc373c689a54cbf36cdc1d9cc7bc9e15190b502c4140d0c9d7d",
+    11: "d2ca98d9e8bd4b8ed5546201f1eb3775aa3b4bdcc328a408006fd3581d3b0b34",
+    12: "2e17efaa5074986b19c5e3fca684643a40d2eb37434d7f0a3313f2aa5fd00283",
+}
+
+
+@pytest.mark.parametrize("m", sorted(WALK_DIGESTS))
+def test_walk_digest(m):
+    """sha256 of (k, case, r, trail codes) of kval on three seeded (a, seed)
+    at m = 8..12, past the golden scans' m <= 7; 523 to 67,121 steps."""
+    f = get_field(m)
+    h = hashlib.sha256()
+    for seed in range(3):
+        rng = random.Random(seed)
+        a = f.random_element(rng)
+        while not a:
+            a = f.random_element(rng)
+        rep = valuation.kval(CurveParams.make(f, a), rng=rng)
+        h.update(repr((rep.k, rep.case, rep.r, [u.code for u in rep.trail])).encode())
+    assert h.hexdigest() == WALK_DIGESTS[m]
 
 
 def test_kval_rejects_divisible_start(f5, params31):
