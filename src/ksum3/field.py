@@ -8,7 +8,12 @@ code 0, the unit is code 1, and the residue of x (called alpha) is code 3.
 Fields small enough (q <= 3^13) carry exp/log tables with respect to a
 multiplicative generator g, which serve the scalar product, inverse, power
 and square root there, plus a trace table, which serves only the oracle's
-numpy passes over whole fields; the tower module needs the generator.  A
+numpy passes over whole fields; the tower module needs the generator.  The
+exp table doubles rather than growing one product at a time: x -> g^B x is
+F_3-linear (Lidl & Niederreiter, Finite Fields, ch. 2), so the base-3
+digits of g^B..g^(2B-1) are those of g^0..g^(B-1) times its m x m matrix
+mod 3, one numpy pass over int8 digit planes, and g^B then squares; the
+trace table is the same digit planes dotted with Tr(alpha^i).  A
 Zech-log table, zech[k] = log(1 + g^k), makes the scalar add a lookup too:
 g^i + g^j = g^(i + zech[j - i]), and -1 = g^(n/2) for n = q - 1 (Huber,
 IEEE Trans. Inf. Theory 36, 1990).  Scalar ops read the tables through
@@ -18,13 +23,13 @@ build, the vectorized code ops, the oracle), so a field past the table cap
 never loads it.  Past the tables the square root is Tonelli-Shanks at every
 m.
 
-All F_3-vector work -- products, powers and inverses past the table cap,
-the table build and the linear maps -- runs on packed integers: byte i of
-a Python int holds coordinate i (LANE = 8 bits per trit).  A lane of the
-integer product of two packed polynomials sums at most m <= M_CAP = 40
-products of two trits, so it is at most 4 * M_CAP = 160 < 2^8 and never
-carries into the next lane; one bytes translation then reduces every lane
-mod 3.  Every F_3-linear map of a code, on every field, is one walk over
+All other F_3-vector work -- products, powers and inverses past the table
+cap, the doubling matrices and the linear maps -- runs on packed integers:
+byte i of a Python int holds coordinate i (LANE = 8 bits per trit).  A
+lane of the integer product of two packed polynomials sums at most
+m <= M_CAP = 40 products of two trits, so it is at most 4 * M_CAP = 160
+< 2^8 and never carries into the next lane; one bytes translation then
+reduces every lane mod 3.  Every F_3-linear map of a code, on every field, is one walk over
 its base-81 digits through chunk tables (_chunk_images): the identity
 (code to packed int), the cube root, the trace and a right inverse of
 u -> u^3 - u.  The last three are read off one table of conjugates,
@@ -283,29 +288,44 @@ class Field:
         return conj
 
     def _build_tables(self):
+        """exp, log, Zech and trace tables, the exp table by doubling.
+        digits[i, k] is digit i of the code of g^k.  x -> g^B x is F_3-linear,
+        its matrix rows the digits of g^B alpha^j, so the digits of
+        g^B..g^(2B-1) are those of g^0..g^(B-1) times that matrix, mod 3;
+        then g^B squares.  That is about log2 q = 1.6 m rounds of m + 1
+        packed products.  A product digit sums m <= 13 terms of at most 4,
+        so it fits int8.  The trace is linear too: Tr(g^k) is digits[:, k]
+        dotted with Tr(alpha^i)."""
         import numpy as np
-        m, q = self.m, self.q
+        m, q, ring = self.m, self.q, self._ring
+        n = q - 1
         gen = (1 << LANE) if self.alpha_primitive else self._find_generator()   # alpha or g
         self.generator_code = _to_code(gen, m)
-        table, power = [], 1
-        for _ in range(q - 1):
-            table.append(_to_code(power, m))
-            power = self._ring.mul(power, gen)
-        self.exp = exp = np.array(table, dtype=np.int64)
+        digits = np.zeros((m, n), dtype=np.int8)
+        digits[0, 0] = 1
+        size, power = 1, gen                              # power = g^size
+        while size < n:
+            k = min(size, n - size)
+            matrix = np.frombuffer(b"".join(ring.mul(power, 1 << LANE * j).to_bytes(m, "little")
+                                            for j in range(m)), dtype=np.int8).reshape(m, m)
+            # einsum, as numpy's integer matmul is several times slower here
+            np.remainder(np.einsum("ji,jk->ik", matrix, digits[:, :k]), 3,
+                         out=digits[:, size:size + k])
+            size += k
+            power = ring.mul(power, power)
+        self.exp = exp = np.zeros(n, dtype=np.int64)
+        for plane in digits[::-1]:
+            exp *= 3
+            exp += plane
         log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(q - 1, dtype=np.int64)
+        log[exp] = np.arange(n, dtype=np.int64)
         self.log = log
         # 1 + g^k changes digit 0 of g^k's code only; log[0] = -1 marks 1 + g^k = 0
         zech = log[exp - exp % 3 + (exp + 1) % 3]
         self._exp_mv, self._log_mv, self._zech_mv = map(memoryview, (exp, log, zech))
-        # trace table: codes are base-3 digit vectors, trace is linear
-        codes = np.arange(q, dtype=np.int64)
-        tr = np.zeros(q, dtype=np.int64)
-        tmp = codes.copy()
-        for i in range(m):
-            tr += (tmp % 3) * self._tr_basis[i]
-            tmp //= 3
-        self.trace_table = (tr % 3).astype(np.uint8)
+        tr_basis = np.array(self._tr_basis, dtype=np.int8)
+        self.trace_table = np.zeros(q, dtype=np.uint8)
+        self.trace_table[exp] = np.einsum("i,ik->k", tr_basis, digits) % 3
 
     def _find_generator(self) -> int:
         for code in range(2, self.q):

@@ -325,6 +325,24 @@ def test_golden_output_digest_past_table_cap(argv):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS_PAST_TABLE_CAP[argv]
 
 
+# The same at the table cap, the largest fields with tables: the m = 13
+# descent's DOT labels read the log table, and the m = 12 ksum reads exp and
+# trace_table.
+GOLDEN_DIGESTS_AT_TABLE_CAP = {
+    "--m 13 --a p:5 descent":
+        "d8502e0ea3131933f8762d0e46c5d55c88913bf778459a4366b894d42e087ae7",
+    "--m 12 --a p:5 ksum":
+        "16908cbcb7b24cf138fffd114b0ce265ac66623a9a67783c7b78b2435cce0250",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_DIGESTS_AT_TABLE_CAP))
+def test_golden_output_digest_at_table_cap(argv):
+    code, text = run(argv.split())
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS_AT_TABLE_CAP[argv]
+
+
 # sha256 over the levels and edges (element codes) of descent graphs: both
 # policies for every a at m = 2..7, and the seeded a of the seeded descent
 # test in test_valuation.py (same moduli, seeds and policies).

@@ -12,6 +12,7 @@ checked against it at every builtin m, and its trace and cube-root maps
 against Newton's identities and packed powers.
 """
 
+import hashlib
 import itertools
 import os
 import random
@@ -19,6 +20,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from sympy import Poly, factorint, symbols
 from sympy.polys.domains import ZZ
@@ -27,6 +29,7 @@ from sympy.polys.galoistools import gf_pow_mod
 from ksum3.field import (
     LANE,
     Field,
+    _Ring,
     _apply_images,
     _chunk_images,
     _from_code,
@@ -205,14 +208,65 @@ def test_chains_at_every_degree(m):
 
 @pytest.mark.parametrize("modulus", NON_PRIMITIVE)
 def test_tables_from_a_non_primitive_alpha(modulus):
-    """alpha is not primitive, so the exp table is built by packed products
-    with a searched generator: each entry is the previous one times it."""
+    """alpha is not primitive, so the exp table is the powers of a searched
+    generator: it holds every nonzero code once, and each entry is the
+    previous one times the generator."""
     f = Field(len(modulus) - 3, modulus)
     assert not f.alpha_primitive
     assert sorted(f.exp.tolist()) == list(range(1, f.q))
     gen = f.el(f.generator_code).coeffs
     for x, y in zip(f.exp.tolist(), f.exp[1:].tolist()):
         assert schoolbook_mul(f.el(x).coeffs, gen, f.modulus) == f.el(y).coeffs
+
+
+# sha256 over the dtype and bytes of exp, log, the Zech table and trace_table,
+# in that order, of every builtin table field and the non-primitive ones,
+# pinned when the exp table was built one packed product per entry.
+TABLE_DIGESTS = {
+    2: "4d73f13937b2096a25e1135f4fcd669b114908b78e857417580b0f6fe4f7d929",
+    3: "60fe7bb74a3ca61ce6793982a8e7ec1747c3f4224b1c0fd53bbae00198abaf3c",
+    4: "310380f1dd189129650f92b3ff8d5c23cc47462ce4b5042cb4a8a6e803fba742",
+    5: "39b78dfccab6ad46f6e861b16f8824833b6122c57f2848ef3813297d3bb4157a",
+    6: "4a243b6591434ffb0688e499892cdf94d3f8aacfa2f2e6d853ec7ff5cbd841b2",
+    7: "3246effafe9ab0531799300fe33c5a1ae32929c762993b6cd3bbfdbf71576761",
+    8: "c295dca21786998f561ddff0880d056ca6da557f27b06529a07f0a42eafde011",
+    9: "243779dd2542b039ee71952bf1417dc3e42348d6545d2e58b1bc4cc9a2e09772",
+    10: "72dcef0d6c9829f6418ffd330f13806a8021e76c3875196c4a78b241e227f02b",
+    11: "5098e0f91b0c4056bf49bbc1b41a22c8040cc50ff52a6485d43fda46ba75ccd2",
+    12: "09f4ef98658165b04d0d3a394c7bb29979d749c027dd3fa315909891cb8d2fc4",
+    13: "f3bbebb61dba21e63c5ed4285ec83550f0ec129e3ed2d228203e82b7849ccb0b",
+    "t:101": "a0dce9ced754b2f0fcd48aec2d29c3ef76e43e80cbff50101a7e46c2f2259d24",
+    "t:2011": "d35d50dd3d03e76db9737ceb804be446705f1675ef08afb36190d97b6aabb865",
+    "t:2221": "0ad78166defe8acb5ab8ffcdb50d333b0d7dc43cc49ece5098e19c5ac08f2a2e",
+    "t:10111": "18eafc66740cf3d827aaa563524c7f1b378fa9f6d9366ac2621f74196df0b70d",
+    "t:20201": "875b5066d493fa0fdaa76fb719ed3b00ecb951c100b051ee94c66505c6a78096",
+}
+
+
+@pytest.mark.parametrize("key", list(TABLE_DIGESTS))
+def test_table_digest(key):
+    f = get_field(key) if isinstance(key, int) else get_field(len(key) - 3, key)
+    h = hashlib.sha256()
+    for table in (f.exp, f.log, np.asarray(f._zech_mv), f.trace_table):
+        h.update(table.dtype.str.encode())
+        h.update(table.tobytes())
+    assert h.hexdigest() == TABLE_DIGESTS[key]
+
+
+def test_table_build_makes_few_packed_products(monkeypatch):
+    """The exp table doubles, so building a table field takes O(m^2 + m log q)
+    packed products, not one per element (q - 1 = 59,048 at m = 10)."""
+    calls = 0
+    mul = _Ring.mul
+
+    def counting_mul(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(_Ring, "mul", counting_mul)
+    Field(10, BUILTIN_MODULI[10])
+    assert calls <= 3000
 
 
 # ---------------------------------------------------------------------------
