@@ -18,24 +18,28 @@ Examples:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import random
 import sys
 from typing import List, Optional
 
+try:   # hashlib's own blake2b; importing hashlib would also load OpenSSL
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
+
 from . import verify as verify_mod
 from .curve import CurveParams
 from .errors import Ksum3Error
 from .field import TABLE_CAP, Fe, Field, get_field
-from .oracle import kloosterman_sum, val3
+from .oracle import kloosterman_sum, kloosterman_sums, val3
 from .tower import lifting_law_check
 from .valuation import descent, kval
 
 
 def _task_seed(seed: int, index: int) -> int:
     """Per-element seed, a function of the global seed and the index only."""
-    h = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=8)
+    h = blake2b(f"{seed}:{index}".encode(), digest_size=8)
     return int.from_bytes(h.digest(), "big")
 
 
@@ -101,6 +105,7 @@ def cmd_kval(args, field: Field, out) -> int:
 
 def cmd_scan(args, field: Field, out) -> int:
     with_oracle = field.q <= args.oracle_cap and field.exp is not None
+    sums = kloosterman_sums(field) if with_oracle else None
     records = []
     hist: dict = {}
     zeros = []
@@ -114,11 +119,13 @@ def cmd_scan(args, field: Field, out) -> int:
             "case": rep.case,
             "r": rep.r,
         }
-        if with_oracle:
-            K = kloosterman_sum(field, a).value
-            rec["K"] = K
-            rec["agree"] = rep.k == val3(K, field.m)
-        records.append(rec)
+        if sums is not None:
+            rec["K"] = sums[code]
+            rec["agree"] = rep.k == val3(sums[code], field.m)
+        if args.output == "table":   # needs every record for its column widths
+            records.append(rec)
+        else:
+            print(json.dumps(rec), file=out)
         hist[rep.k] = hist.get(rep.k, 0) + 1
         if rep.kloosterman_is_zero:
             zeros.append(rec["a"])
@@ -129,9 +136,8 @@ def cmd_scan(args, field: Field, out) -> int:
             "zeros": zeros,
         }
     }
-    _emit(records + [summary] if args.output == "json" else records, args.output, out)
-    if args.output == "table":
-        print(json.dumps(summary), file=out)
+    _emit(records, args.output, out)
+    print(json.dumps(summary), file=out)
     return 0
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ksum3 import tower
+from ksum3 import cli, oracle, tower
 from ksum3.cli import build_parser, main
 from ksum3.curve import CurveParams
 from ksum3.field import get_field
@@ -304,6 +304,30 @@ def test_golden_output_digest(argv):
     code, text = run(argv.split())
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[argv]
+
+
+def test_scan_oracle_column_needs_no_direct_sum(monkeypatch):
+    """scan's K and agree come from the one convolution, kloosterman_sums:
+    with the per-element direct sum patched to raise, the bytes hold."""
+    def refuse(*args):
+        raise AssertionError("scan called the direct sum")
+    monkeypatch.setattr(oracle, "kloosterman_sum", refuse)
+    monkeypatch.setattr(cli, "kloosterman_sum", refuse)
+    argv = "--m 6 --seed 3 scan"
+    code, text = run(argv.split())
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[argv]
+
+
+def test_cli_import_loads_neither_openssl_nor_numpy_fft():
+    """The per-element seed's blake2b comes without OpenSSL's _hashlib, and
+    numpy.fft loads only when the oracle column is summed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, ksum3.cli; print(sorted({'_hashlib', 'numpy.fft'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # The same for fields past the table cap, where every product is a packed

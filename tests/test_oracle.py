@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from ksum3 import errors, oracle
-from ksum3.field import get_field
+from ksum3.field import Field, get_field
+from test_packed import NON_PRIMITIVE_FIELDS
 
 
 def test_golden_k_alpha31(f5):
@@ -95,3 +98,51 @@ def test_inconsistent_counts_rejected():
     with pytest.raises(errors.Ksum3Error):
         oracle.KloostermanValue(value=5, counts=(3, 1, 1))    # value != c0 - c1
     assert oracle.KloostermanValue(value=2, counts=(3, 1, 1)).value == 2
+
+
+# ---------------------------------------------------------------------------
+# kloosterman_sums: every K(a) from one cyclic convolution
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m,modulus", [(m, None) for m in range(2, 8)] + NON_PRIMITIVE_FIELDS,
+                         ids=[f"m{m}" for m in range(2, 8)]
+                         + [f"m{m}-{mod[2:]}" for m, mod in NON_PRIMITIVE_FIELDS])
+def test_kloosterman_sums_match_the_direct_sum(m, modulus):
+    f = Field(m, modulus) if modulus else get_field(m)
+    K = oracle.kloosterman_sums(f)
+    assert len(K) == f.q and K[0] is None
+    assert K[1:] == [oracle.kloosterman_sum(f, a).value for a in f.nonzero_elements()]
+
+
+@pytest.mark.parametrize("m", [8, 9, 10])
+def test_kloosterman_sums_match_the_direct_sum_on_seeded_a(m):
+    f = get_field(m)
+    K = oracle.kloosterman_sums(f)
+    rng = random.Random(m)
+    for code in (rng.randrange(1, f.q) for _ in range(40)):
+        assert K[code] == oracle.kloosterman_sum(f, f.el(code)).value
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_kloosterman_sums_total_and_weil_bound(m):
+    f = get_field(m)
+    K = oracle.kloosterman_sums(f)[1:]
+    assert sum(K) == f.q
+    assert max(k * k for k in K) <= 4 * f.q
+
+
+@pytest.mark.parametrize("shift", [0.3, 0.3j])
+def test_kloosterman_sums_refuse_to_round_an_inexact_convolution(f5, monkeypatch, shift):
+    """A convolution 0.3 off the integers (in the real or the imaginary
+    part) raises; it is not rounded to a wrong K."""
+    import numpy.fft
+    ifft = numpy.fft.ifft
+    monkeypatch.setattr(numpy.fft, "ifft", lambda x: ifft(x) + shift)
+    with pytest.raises(errors.Ksum3Error):
+        oracle.kloosterman_sums(f5)
+
+
+def test_kloosterman_sums_need_tables(tableless):
+    stripped = tableless(get_field(4))
+    with pytest.raises(errors.CapExceeded):
+        oracle.kloosterman_sums(stripped)
