@@ -28,7 +28,7 @@ from .errors import (
     ZeroParameter,
     ZeroXCoordinate,
 )
-from .field import Fe, Field
+from .field import Fe, Field, _apply_images, _to_code
 
 SAMPLE_POINT_CAP = 10_000
 GENERATOR_CANDIDATE_CAP = 256
@@ -181,13 +181,20 @@ def div3_obstruction(params: CurveParams, xi: Fe) -> int:
 
 def solve_tripling_cubic(params: CurveParams, xi: Fe) -> list:
     """All x with 3(x, *) having x-coordinate xi, sorted by code ([] if none)."""
-    return _divide(params, xi, _lift(params, xi).cube_root())
+    f = params.field
+    return [Fe(f, c) for c in _divide(params, xi.code, _lift(params, xi).cube_root().code)]
 
 
-def _divide(params: CurveParams, xi: Fe, w: Fe) -> list:
-    """The roots, sorted by code, of the division cubic of a point (xi, y)
-    on E(a), given w = y^(1/3); [] when it has none.  Since R^3 = a y / xi^3
-    below, this is the descent's one test of whether (xi, y) is 3-divisible.
+def _cube_root(f: Field, c: int) -> int:
+    """The code of c^(1/3): one walk through the field's cube-root chunk tables."""
+    return _to_code(_apply_images(f._cube_root_images, c), f.m)
+
+
+def _divide(params: CurveParams, xi: int, w: int) -> list:
+    """The root codes, sorted, of the division cubic of a point (xi, y) on
+    E(a), given the codes of xi and w = y^(1/3); [] when it has none.  Since
+    R^3 = a y / xi^3 below, this is the descent's one test of whether
+    (xi, y) is 3-divisible.
 
     With A = a^(1/3) and X = xi^(1/3) the cubic is
     P(x) = x^3 - X x^2 + A (1 - X) x - A^2 (A + X), and w^2 = X^3 + X^2 - A
@@ -206,20 +213,24 @@ def _divide(params: CurveParams, xi: Fe, w: Fe) -> list:
 
     Negating R negates u and keeps u^2, so solving u^3 - u = R gives the
     same roots; for the same reason they do not depend on the sign of w.
+    The field's Artin-Schreier operator gives the solution u with constant
+    term 0, so the other two are the codes u + 1 and u + 2.
     """
-    A = params.a_cuberoot
-    R = A * w
+    f, A = params.field, params.a_cuberoot.code
+    mul, add, neg = f.code_mul, f.code_add, f.code_neg
+    R = mul(A, w)
     if xi:
-        xinv = xi.inv()
-        R *= xinv
-    if R.trace():
+        xinv = f.code_inv(xi)
+        R = mul(R, xinv)
+    if _apply_images(f._trace_images, R) % 3:
         return []
-    us = params.field.solve_artin_schreier(R)
+    u = _to_code(_apply_images(f._artin_schreier_images, R), f.m)
+    us = (u, u + 1, u + 2)
     if not xi:
-        return sorted((w * u for u in us), key=lambda e: e.code)
-    X = xi.cube_root()
-    s, n = A * (1 - xinv.cube_root()) + X, -X            # t + X (1 - u^2)
-    return sorted({s + n * u * u for u in us}, key=lambda e: e.code)
+        return sorted(mul(w, v) for v in us)
+    X = _cube_root(f, xi)
+    s, n = add(add(A, neg(mul(A, _cube_root(f, xinv)))), X), neg(X)   # t + X (1 - u^2)
+    return sorted({add(s, mul(n, mul(v, v))) for v in us})
 
 
 def sample_point(params: CurveParams, rng: random.Random) -> Point:

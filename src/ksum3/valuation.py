@@ -14,7 +14,12 @@ and the level-by-level descent that rebuilds the cyclic 3-subgroup graph.
 The descent expands a node through its division cubic, one equation
 u^3 - u = R whose trace test Tr(R) = 0 is also the node's 3-divisibility
 test, so each node is decided once; y is carried down from the root
-a^(1/3), whose y is a^(1/3) itself, so it takes no square root.
+a^(1/3), whose y is a^(1/3) itself, so it takes no square root.  At the
+root R = a^(1/9), whose trace is Tr(a), so the root is decided by the
+trace test of div9 alone: the two thirds of a with Tr(a) != 0 cost no
+cube root, inversion or cubic.  Each expansion runs on element codes
+through the field's scalar code ops and chunk walks, and an Fe is made
+only for the nodes the graph records.
 """
 
 from __future__ import annotations
@@ -25,12 +30,14 @@ from typing import List, Optional, Tuple
 
 from .curve import (
     CurveParams,
+    _cube_root,
     _divide,
     div3_obstruction,
     sample_generator_candidate,
     triple_x,
 )
 from .errors import (
+    CapExceeded,
     IterationCapExceeded,
     Ksum3Error,
     NotCycleCase,
@@ -41,6 +48,10 @@ from .field import Fe, Field
 
 HIT_ORDER_THREE = "hit_order_three"
 CYCLE = "cycle"
+
+# The most nodes one descent expands: a full graph of depth 10, (3^10 - 1) / 2
+# nodes, fits, and the full graph of a zero past m = 10 does not.
+DESCENT_NODE_CAP = 3 ** 10
 
 
 @dataclass
@@ -173,30 +184,46 @@ def descent(params: CurveParams, full: bool = False) -> DescentGraph:
 
     Default policy expands one node per level (the smallest in the
     canonical trit ordering); full=True expands every node, reproducing
-    the complete graph of the cyclic 3-subgroup.
+    the complete graph of the cyclic 3-subgroup.  Expanding more than
+    DESCENT_NODE_CAP nodes in all raises CapExceeded before the level that
+    would pass it; a graph of depth t holds (3^t - 1) / 2 nodes.
 
     A node (x, y) has children iff Tr(R) = 0 for the R of its division
     cubic u^3 - u = R (curve._divide, from x and y^(1/3)); for x != 0 this
     is the 3-divisibility test Tr(a y / x^3) = 0, and the cubic is solved
     only for nodes that pass.  The root r = a^(1/3) has y = r, since
-    rhs(r) = r^2.  For Q = (x, y) with x^3 != a,
+    rhs(r) = r^2, so its R = a^(1/3) w / r is w = a^(1/9), and
+    Tr(a^(1/9)) = Tr(a): an a with Tr(a) != 0 (9 does not divide K(a))
+    has the one-level graph, decided with no cube root, inversion or cubic.
+    For Q = (x, y) with x^3 != a,
     y(3Q) = (y G(x) / (x^3 - a))^3 with G(x) = x^3 - a - r (x + r), so a
     child x of a node with y-coordinate y_parent has
     y = y_parent^(1/3) (x^3 - a) / G(x), exactly: 3 (x, y) is the parent
     point itself, not its negative.  y is computed only for the nodes
-    that get expanded.
+    that get expanded.  Every expansion runs on element codes; an Fe is
+    made only for the nodes the graph records.
     """
-    f, a, r = params.field, params.a, params.a_cuberoot
+    f, r = params.field, params.a_cuberoot
     levels: List[List[Fe]] = [[r]]
     edges: List[Tuple[Fe, Fe]] = []
-    frontier = [(r, r)]                 # (x, y) of the nodes to expand
+    if params.a.trace():
+        return DescentGraph(levels=levels, edges=edges)
+    mul, add, neg = f.code_mul, f.code_add, f.code_neg
+    rc = r.code
+    neg_a = neg(params.a.code)
+    frontier = [(r, rc)]                # (node, code of its y) to expand
+    expanded = 0
     while True:
-        nxt: List[Tuple[Fe, Fe]] = []   # (child, y_parent^(1/3))
+        expanded += len(frontier)
+        if expanded > DESCENT_NODE_CAP:
+            raise CapExceeded(f"descent would expand more than {DESCENT_NODE_CAP} nodes")
+        nxt: List[Tuple[Fe, int]] = []  # (child, code of y_parent^(1/3))
         for x, y in frontier:
-            w = y.cube_root()
-            for c in _divide(params, x, w):
-                edges.append((x, c))
-                nxt.append((c, w))
+            w = _cube_root(f, y)
+            for c in _divide(params, x.code, w):
+                child = Fe(f, c)
+                edges.append((x, child))
+                nxt.append((child, w))
         if not nxt:
             return DescentGraph(levels=levels, edges=edges)
         levels.append([c for c, _ in nxt])
@@ -204,8 +231,10 @@ def descent(params: CurveParams, full: bool = False) -> DescentGraph:
             raise IterationCapExceeded("descent deeper than m levels")
         frontier = []
         for x, w in nxt if full else nxt[:1]:
-            d = x ** 3 - a
-            frontier.append((x, w * d / (d - r * (x + r))))
+            c = x.code
+            d = add(f.code_pow(c, 3), neg_a)
+            g = add(d, neg(mul(rc, add(c, rc))))
+            frontier.append((x, mul(mul(w, d), f.code_inv(g))))
 
 
 def cycle_bounds(report: ValuationReport, field: Field) -> Tuple[int, int]:

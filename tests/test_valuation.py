@@ -418,7 +418,7 @@ def test_descent_y_recurrence_is_exact(m, full):
             children = []
             for x, y in frontier:
                 w = y.cube_root()
-                for c in curve._divide(params, x, w):
+                for c in (Fe(f, c) for c in curve._divide(params, x.code, w.code)):
                     d = c ** 3 - a
                     yc = w * d / (d - r * (c + r))
                     assert curve.scalar_mul(params, 3, curve.Point(c, yc)) == curve.Point(x, y)
@@ -510,10 +510,65 @@ def test_divide_makes_at_most_one_inversion(monkeypatch):
     for _ in range(6):
         s = f.el(rng.randrange(1, f.q))
         params = CurveParams.make(f, -s * s)
-        for root in counted_divide(params, f.zero, s.cube_root()):
-            assert curve.triple_x(params, root) == f.zero
+        for root in counted_divide(params, 0, s.cube_root().code):
+            assert curve.triple_x(params, Fe(f, root)) == f.zero
     assert all(n == 0 for _, n in calls)
     assert {solved for solved, _ in calls} == {False, True}
+
+
+def test_root_cubic_solvable_iff_trace_zero():
+    """The root (r, r) of the descent, r = a^(1/3), has R = a^(1/9) in its
+    division cubic, and Tr(a^(1/9)) = Tr(a): _divide at (r, r^(1/3)) has
+    roots iff Tr(a) = 0, which the descent decides without the cubic.
+    Every a at m = 2..7, and 40 seeded a each at m = 14, 20 and 40 (M40)."""
+    cases = [a for m in range(2, 8) for a in get_field(m).nonzero_elements()]
+    for m, modulus in ((14, None), (20, None), (40, M40_MODULUS)):
+        f, rng = get_field(m, modulus), random.Random(2700 + m)
+        cases += [f.el(rng.randrange(1, f.q)) for _ in range(40)]
+    seen = set()
+    for a in cases:
+        params = CurveParams.make(a.field, a)
+        r = params.a_cuberoot
+        solvable = bool(curve._divide(params, r.code, r.cube_root().code))
+        assert solvable == (a.trace() == 0)
+        seen.add((a.field.m, solvable))
+    assert seen == {(m, s) for m in (2, 3, 4, 5, 6, 7, 14, 20, 40) for s in (False, True)}
+
+
+def test_descent_with_nonzero_trace_skips_cubic_and_inversion(monkeypatch):
+    """At M40 an a with Tr(a) != 0 has the one-level graph {a^(1/3)},
+    reached with no division cubic and no inversion (Field._chain_inv)."""
+    f = get_field(40, M40_MODULUS)
+    rng = random.Random(4041)
+    cases = []
+    while len(cases) < 8:
+        a = f.el(rng.randrange(1, f.q))
+        if a.trace():
+            cases.append(CurveParams.make(f, a))
+
+    def refuse(*args):
+        raise AssertionError("descent solved a cubic or inverted at a node it decides by Tr(a)")
+
+    monkeypatch.setattr(valuation, "_divide", refuse)
+    monkeypatch.setattr(field.Field, "_chain_inv", refuse)
+    for params in cases:
+        for full in (False, True):
+            g = valuation.descent(params, full)
+            assert (g.levels, g.edges) == ([[params.a_cuberoot]], [])
+
+
+def test_full_descent_stops_at_node_cap(monkeypatch):
+    """A zero at m = 7 has depth 7, so its full graph holds (3^7 - 1) / 2
+    = 1093 nodes.  Past DESCENT_NODE_CAP expansions the full descent raises
+    CapExceeded; the default policy expands one node per level."""
+    f = get_field(7)
+    params = CurveParams.make(f, f.parse("p:52"))
+    assert oracle.kloosterman_sum(f, params.a).value == 0
+    assert sum(map(len, valuation.descent(params, full=True).levels)) == 1093
+    monkeypatch.setattr(valuation, "DESCENT_NODE_CAP", 100)
+    with pytest.raises(errors.CapExceeded):
+        valuation.descent(params, full=True)
+    assert valuation.descent(params).t == 7
 
 
 # ---------------------------------------------------------------------------
