@@ -12,7 +12,7 @@ Examples:
     ksum3 --m 4 scan
     ksum3 --m 5 --a p:31 descent --full
     ksum3 --m 2 tower --n 3 --all
-    ksum3 --m 5 verify
+    ksum3 --m 2 verify    (a fixed desk-scale battery, whatever --m is)
 """
 
 from __future__ import annotations
@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("tower", help="extension-field lifting law check")
     t.add_argument("--n", type=int, help="extension degree over the base field")
     t.add_argument("--all", action="store_true", help="check every a in F*")
-    sub.add_parser("verify", help="run the self-verification battery")
+    sub.add_parser("verify", help="run the fixed desk-scale self-verification "
+                                  "battery (m <= 5, whatever --m is)")
     return p
 
 

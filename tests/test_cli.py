@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ksum3 import cli, oracle, tower
+from ksum3 import cli, curve, oracle, tower, valuation, verify
 from ksum3.cli import build_parser, main
 from ksum3.curve import CurveParams
 from ksum3.field import get_field
@@ -189,6 +189,23 @@ def test_verify_requires_the_variant_k3_form(monkeypatch):
     assert code == 1
     assert [r["check"] for r in recs if r.get("ok") is False] == ["k3_adjudication"]
     assert recs[-1] == {"failures": ["k3_adjudication"]}
+
+
+def test_verify_catches_a_bad_triple_x(monkeypatch):
+    """The walk steps with valuation.triple_x, so only the group-law check
+    sees a wrong curve.triple_x."""
+    monkeypatch.setattr(curve, "triple_x", lambda params, u: u + 1)
+    assert [r["check"] for r in verify.run_all() if not r["ok"]] == ["group_law"]
+
+
+def test_verify_catches_a_bad_div27(monkeypatch):
+    div27 = valuation.div27
+    monkeypatch.setattr(valuation, "div27", lambda f, a: not div27(f, a))
+    failed = [r for r in verify.run_all() if not r["ok"]]
+    assert [r["check"] for r in failed] == ["divisibility_9_27"]
+    assert failed[0]["detail"].startswith("div27 at ")
+    with pytest.raises(verify.CheckFailed, match="^div27 at "):
+        verify._divisibility(range(2, 7))
 
 
 _BROKEN_UNDER_O = """

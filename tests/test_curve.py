@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from ksum3 import curve, errors, oracle
+from ksum3 import curve, errors, verify
 from ksum3.curve import INFINITY, CurveParams, Point
 from ksum3.field import Fe, get_field
 
@@ -64,26 +64,14 @@ def test_identity_and_inverse(params31):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_associativity_and_closure_random(m):
-    f = get_field(m)
-    rng = random.Random(m)
-    for _ in range(40):
-        a = f.el(rng.randrange(1, f.q))
-        params = CurveParams.make(f, a)
-        for _ in range(6):
-            p, q, r = (curve.sample_point(params, rng) for _ in range(3))
-            s = curve.add(params, curve.add(params, p, q), r)
-            assert s == curve.add(params, p, curve.add(params, q, r))
-            assert curve.add(params, p, q) == curve.add(params, q, p)
-            assert curve.on_curve(params, s)
+    verify._group_law(m, (m,), curves=40, triples=6, exhaustive=())
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_group_order_annihilates_every_point(m):
-    f = get_field(m)
-    for params in all_params(f):
-        order = oracle.curve_order(f, params.a)
-        for p in curve.enumerate_points(params):
-            assert curve.scalar_mul(params, order, p) == INFINITY
+    """|E| P = O, and triple_x agrees with the group law, on every point;
+    acceptance 5 runs the same check at m = 2..5."""
+    verify._group_law(m, (), exhaustive=(m,))
 
 
 def test_group_order_annihilates_sampled_points_m5(params31):
@@ -189,18 +177,6 @@ def test_triple_x_log_form_matches_table_less_field(m, modulus, tableless):
         want = steps(CurveParams.make(g, g.el(a)))
         assert want.count(None) == 1
         assert steps(CurveParams.make(f, f.el(a))) == want
-
-
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_triple_x_matches_group_law_exhaustive(m):
-    f = get_field(m)
-    for params in all_params(f):
-        for p in curve.enumerate_points(params):
-            if p.is_infinity or p.x ** 3 == params.a:
-                continue
-            q = curve.scalar_mul(params, 3, p)
-            assert not q.is_infinity
-            assert curve.triple_x(params, p.x) == q.x
 
 
 # ---------------------------------------------------------------------------
