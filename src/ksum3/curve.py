@@ -28,13 +28,13 @@ from .errors import (
     ZeroParameter,
     ZeroXCoordinate,
 )
-from .field import Fe, Field, _apply_images, _to_code
+from .field import Fe, Field, _apply_images, _from_code, _lanes, _to_code
 
 SAMPLE_POINT_CAP = 10_000
 GENERATOR_CANDIDATE_CAP = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """Affine point or the point at infinity (x = y = None)."""
 
@@ -49,7 +49,7 @@ class Point:
 INFINITY = Point(None, None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveParams:
     field: Field
     a: Fe
@@ -68,9 +68,18 @@ def rhs(params: CurveParams, x: Fe) -> Fe:
 
 
 def _lift(params: CurveParams, x: Fe) -> Fe:
-    """y = sqrt(x^3 + x^2 - a) of the smaller code; NotOnCurve where sqrt finds none."""
+    """y = sqrt(x^3 + x^2 - a) of the smaller code; NotOnCurve where sqrt
+    finds none.  Past the table cap it is one packed body: x and a are
+    packed once, the right-hand side and its Tonelli-Shanks root
+    (Field._tonelli_shanks) run on packed ints, and y is coded once."""
+    f = params.field
     try:
-        return rhs(params, x).sqrt()
+        if f.log is not None:
+            return rhs(params, x).sqrt()
+        mul, p = f._ring.mul, _from_code(x.code)
+        x2 = mul(p, p)
+        v = _lanes(mul(x2, p) + x2 + 2 * _from_code(params.a.code))
+        return Fe(f, _to_code(f._tonelli_shanks(v), f.m))
     except NonResidue:
         raise NotOnCurve(f"{x} is not the x-coordinate of a point on E(a)") from None
 
@@ -133,9 +142,12 @@ def scalar_mul(params: CurveParams, n: int, p: Point) -> Point:
 def triple_x(params: CurveParams, u: Fe) -> Fe:
     """x-coordinate of 3P from x(P) = u: ((u^3 - a)^3 + a u^3) / (u^3 - a)^2.
 
-    The walk's step, so it works on element codes and builds one Fe.  With
-    log tables it is two Zech-log lookups (Huber, IEEE Trans. Inf. Theory
-    36, 1990).  Put n = q - 1, h = n / 2 (g^h = -1), Z the Zech table
+    The walk's step, so it builds one Fe.  Past the table cap it is one
+    packed body: u and a are packed once, and with d = u^3 - a the value
+    is d + a u^3 / d^2, one Frobenius walk for u^3, one inversion
+    (Field._chain_inv) and three products, coded once.  With log tables
+    it is two Zech-log lookups (Huber, IEEE Trans. Inf. Theory 36, 1990).
+    Put n = q - 1, h = n / 2 (g^h = -1), Z the Zech table
     (g^Z[k] = 1 + g^k, Z[h] = -1 marking 0), l = log a and U = 3 log u.
     u = 0 maps to -a = g^(l + h), and U = l is u^3 = a.  Otherwise, as
     g^k - 1 = -(1 + g^(k + h)), d = u^3 - a has log D = l + h + Z[U - l + h],
@@ -155,18 +167,27 @@ def triple_x(params: CurveParams, u: Fe) -> Fe:
         D = la + h + zech[(U - la + h) % n]
         z = zech[(la + U - 3 * D) % n]
         return Fe(f, 0 if z < 0 else f._exp_mv[(D + z) % n])
-    u3 = f.code_pow(u.code, 3)
-    d = f.code_add(u3, f.code_neg(a))
+    mul, ap = f._ring.mul, _from_code(a)
+    u3 = f._frobenius(_from_code(u.code), 0)
+    d = _lanes(u3 + 2 * ap)
     if not d:
         raise OrderThreePoint("u^3 = a: 3P is the identity, no x-coordinate")
-    num = f.code_add(f.code_pow(d, 3), f.code_mul(a, u3))
-    return Fe(f, f.code_mul(num, f.code_inv(f.code_pow(d, 2))))
+    dinv = f._chain_inv(d)
+    return Fe(f, _to_code(d + mul(mul(ap, u3), mul(dinv, dinv)), f.m))
 
 
 def _obstruction(params: CurveParams, x: Fe, y: Fe) -> int:
     """Tr(a y / x^3) for a point (x, y) with x != 0; zero iff it is
-    3-divisible.  Zero-ness does not depend on the sign of y."""
-    return (params.a * y / x ** 3).trace()
+    3-divisible.  Zero-ness does not depend on the sign of y.  Past the
+    table cap one packed body: a, y and x are packed once, and the value
+    is coded once for its trace walk."""
+    f = params.field
+    if f.log is not None:
+        return (params.a * y / x ** 3).trace()
+    mul = f._ring.mul
+    v = mul(mul(_from_code(params.a.code), _from_code(y.code)),
+            f._chain_inv(f._frobenius(_from_code(x.code), 0)))
+    return _apply_images(f._trace_images, _to_code(v, f.m)) % 3
 
 
 def div3_obstruction(params: CurveParams, xi: Fe) -> int:

@@ -20,8 +20,7 @@ IEEE Trans. Inf. Theory 36, 1990).  Scalar ops read the tables through
 memoryviews, which index faster than numpy arrays and share their memory.
 numpy is imported only where the tables are built or read whole (the table
 build, the vectorized code ops, the oracle), so a field past the table cap
-never loads it.  Past the tables the square root is Tonelli-Shanks at every
-m.
+never loads it.
 
 All other F_3-vector work -- products, powers and inverses past the table
 cap, the doubling matrices and the linear maps -- runs on packed integers:
@@ -45,6 +44,17 @@ and Tonelli-Shanks's power x^((t-1)/2), q - 1 = 2^e t, splits t the same
 way.  Past the table cap the scalar add and negation convert too (a packed
 sum has lanes at most 4, and -x is 2x, which _to_code reduces).
 
+An Fe holds its base-3 code on every field, not its packed form: at m = 40
+a packed int takes 68 bytes against 36 for the code, and callers keep many
+elements.  So past the table cap each scalar op packs its operands and
+codes its result, and the routines that chain many ops convert only at
+their ends: the square root, Tonelli-Shanks at every m
+(Field._tonelli_shanks), runs on packed ints, and so do curve.py's lift,
+obstruction and tripling step, which pack each input Fe once and code
+each output once.  A reduced packed int orders like its code (both are
+positional, every digit below its base), so the canonical square root,
+the smaller of +-y, is the same in both.
+
 External string formats (bit-exact, shared with the CLI):
   "t:20100"  coefficient of x^0 first, m characters in {0,1,2}
   "p:31"     alpha^31, valid only when alpha is primitive
@@ -63,6 +73,7 @@ from .errors import (
     DegreeMismatch,
     DivisionByZero,
     FormatError,
+    IterationCapExceeded,
     MixedFields,
     NonResidue,
     NoSolution,
@@ -432,6 +443,45 @@ class Field:
         z = self._frobenius(ring.mul(y, self._frobenius_chain(y, 1, L)), L.bit_length() - 1)
         return ring.mul(s, self._frobenius_chain(z, 2 * L, (o - 1) // 2))
 
+    def _tonelli_shanks(self, x: int) -> int:
+        """The square root of packed x with the smaller code of +-root,
+        packed; NonResidue when x is not a square.  Tonelli-Shanks (Cohen,
+        GTM 138, Alg. 1.5.1) on the field's (e, t, c) with one power
+        s = x^((t-1)/2) (_tonelli_shanks_power): r = s x, u = s r = x^t.
+        Each pass keeps r^2 = x u, so r is a root once u = 1.  A pass finds
+        the order 2^i of u, below the last pass's i (at most e on the
+        first), so there are at most e passes of at most e squarings.
+        i = e on the first pass is x^((q-1)/2) = -1, a non-square (at odd
+        m, e = 1: a square has u = 1 and r = x^((q+1)/4)); on a later pass
+        it means c does not have order 2^e.  A reduced packed int orders
+        like its code, so the smaller of r and -r is the canonical root."""
+        if not x:
+            return 0
+        mul = self._ring.mul
+        e, _, c = self._tonelli_shanks_constants
+        s = self._tonelli_shanks_power(x)
+        r = mul(s, x)
+        u = mul(s, r)
+        bound = e
+        while u != 1:
+            i, probe = 1, mul(u, u)
+            while probe != 1 and i < bound:
+                probe = mul(probe, probe)
+                i += 1
+            if i == bound:
+                if probe == 1 and bound == e:
+                    raw = x.to_bytes(self.m, "little").translate(_DIGIT)
+                    raise NonResidue(f"t:{raw.decode()} is not a square")
+                raise IterationCapExceeded("Tonelli-Shanks constant c does not have order 2^e")
+            b = c
+            for _ in range(bound - i - 1):
+                b = mul(b, b)
+            bound = i
+            c = mul(b, b)
+            u = mul(u, c)
+            r = mul(r, b)
+        return min(r, _lanes(r, _NEG3))
+
     # -- vectorized code arithmetic (numpy int64 arrays) ---------------------
 
     def add_codes(self, a, b):
@@ -523,11 +573,13 @@ class Field:
             for j in range(m)])
 
     def _build_tonelli_shanks_constants(self) -> tuple:
-        """(e, t, z^t): q - 1 = 2^e t with t odd, z the first non-square by code."""
+        """(e, t, c): q - 1 = 2^e t with t odd, and c = z^t packed, z the
+        first non-square by code."""
         t = self.q - 1
         e = (t & -t).bit_length() - 1
         t >>= e
-        return e, t, next(x for x in self.nonzero_elements() if not x.is_square()) ** t
+        z = next(x for x in self.nonzero_elements() if not x.is_square())
+        return e, t, _from_code((z ** t).code)
 
     def solve_artin_schreier(self, a: "Fe") -> list:
         """All w with w^3 - w = a, as [w, w + 1, w + 2] (the map's kernel is
@@ -667,45 +719,19 @@ class Fe:
         Both signs are valid; the canonical pick keeps outputs reproducible
         across runs (downstream trace conditions are sign-invariant).
         Residuosity is decided without `is_square`: with log tables a
-        non-square gives y^2 != x, past them Tonelli-Shanks raises.
+        non-square gives y^2 != x, past them Tonelli-Shanks raises
+        (Field._tonelli_shanks, on packed ints).
         """
         f = self.field
+        if f.log is None:
+            return Fe(f, _to_code(f._tonelli_shanks(_from_code(self.code)), f.m))
         if self.code == 0:
             return self
-        if f.log is None:
-            y = self._tonelli_shanks()
-        else:
-            y = Fe(f, f._exp_mv[f._log_mv[self.code] // 2])
-            if y * y != self:
-                raise NonResidue(f"{self} is not a square")
+        y = Fe(f, f._exp_mv[f._log_mv[self.code] // 2])
+        if y * y != self:
+            raise NonResidue(f"{self} is not a square")
         neg = -y
         return y if y.code <= neg.code else neg
-
-    def _tonelli_shanks(self) -> "Fe":
-        """Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1) on the field's (e, t, c)
-        with one power s = x^((t-1)/2), from Frobenius-power chains
-        (Field._tonelli_shanks_power): r = s x = x^((t+1)/2), u = s r = x^t.
-        At odd m, e = 1: a square has u = 1 and r = x^((q+1)/4), and a
-        non-square has u = -1, on which the first pass raises."""
-        f = self.field
-        e, t, c = f._tonelli_shanks_constants
-        s = Fe(f, _to_code(f._tonelli_shanks_power(_from_code(self.code)), f.m))
-        r = s * self
-        u = s * r
-        while u != f.one:
-            i = 0
-            probe = u
-            while probe != f.one:
-                probe = probe * probe
-                i += 1
-            if i == e:          # only on the first pass: x^((q-1)/2) = -1
-                raise NonResidue(f"{self} is not a square")
-            b = c ** (1 << (e - i - 1))
-            e = i
-            c = b * b
-            u = u * c
-            r = r * b
-        return r
 
     # -- formatting ----------------------------------------------------------
 

@@ -2,11 +2,12 @@ import functools
 import hashlib
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from ksum3 import curve, errors, verify
+from ksum3 import curve, errors, field, verify
 from ksum3.curve import INFINITY, CurveParams, Point
 from ksum3.field import Fe, get_field
 
@@ -154,15 +155,14 @@ def test_triple_x_past_table_cap(m, modulus):
 
 @pytest.mark.parametrize("m,modulus", [(m, None) for m in range(2, 7)] + [(4, "t:11111")])
 def test_triple_x_log_form_matches_table_less_field(m, modulus, tableless):
-    """triple_x on Zech logs equals the nine-op formula of a table-less
-    field of the same modulus on every (a, u), u = 0 and u = a^(1/3)
-    included; alpha is not primitive mod t:11111.  The referee's one-code
-    ops are memoized, which keeps m = 6 to seconds."""
+    """triple_x on Zech logs equals the packed body of a table-less field
+    of the same modulus on every (a, u), u = 0 and u = a^(1/3) included;
+    alpha is not primitive mod t:11111.  The referee's inversion is
+    memoized, which keeps m = 6 to seconds."""
     f = get_field(m, modulus)
     g = tableless(f)
     assert f.log is not None and g.log is None
-    for name in ("code_neg", "code_inv", "code_pow"):
-        setattr(g, name, functools.lru_cache(maxsize=None)(getattr(g, name)))
+    g._chain_inv = functools.lru_cache(maxsize=None)(g._chain_inv)
 
     def steps(params):
         out = []
@@ -397,3 +397,81 @@ def test_curve_paths_take_no_is_square(m, modulus, monkeypatch):
     for fn in (curve.div3_obstruction, curve.solve_tripling_cubic):
         with pytest.raises(errors.NotOnCurve):
             fn(params, off)
+
+
+def test_packed_curve_routines_convert_each_fe_once(monkeypatch):
+    """Past the table cap _lift, _obstruction and triple_x each pack every
+    input Fe once and code every output once: during seeded
+    sample_generator_candidate calls, _from_code runs twice per _lift (x,
+    a), once more for the message of an x that does not lift, and three
+    times per _obstruction (a, y, x), and _to_code once per lifted y and
+    once per obstruction (its value, for the trace walk);
+    triple_x packs u and a and codes its value; Fe.sqrt packs and codes
+    once.  The Frobenius walks index their chunk tables by code inside a
+    field operation, and are not counted."""
+    f = get_field(40, M40_MODULUS)
+    rng = random.Random(4141)
+    params = [CurveParams.make(f, f.el(rng.randrange(1, f.q))) for _ in range(6)]
+    counts = {"_from_code": 0, "_to_code": 0, "_lift": 0, "lifted": 0, "_obstruction": 0}
+
+    def conversion(name, fn):
+        def counted(*args):
+            if sys._getframe(1).f_code.co_name != "_frobenius":
+                counts[name] += 1
+            return fn(*args)
+        return counted
+
+    def routine(name):
+        fn = getattr(curve, name)
+
+        def counted(*args):
+            counts[name] += 1
+            out = fn(*args)
+            if name == "_lift":
+                counts["lifted"] += 1       # x lifted: _lift did not raise
+            return out
+        return counted
+
+    for name in ("_from_code", "_to_code"):
+        counted = conversion(name, getattr(field, name))
+        for module in (field, curve):
+            monkeypatch.setattr(module, name, counted)
+    for name in ("_lift", "_obstruction"):
+        monkeypatch.setattr(curve, name, routine(name))
+
+    def taken():
+        out = dict(counts)
+        for k in counts:
+            counts[k] = 0
+        return out
+
+    for i, p in enumerate(params):
+        g = curve.sample_generator_candidate(p, random.Random(i))
+        n = taken()
+        assert n["_lift"] >= n["lifted"] >= n["_obstruction"] >= 1
+        rejected = n["_lift"] - n["lifted"]       # each NotOnCurve message prints x
+        assert n["_from_code"] == 2 * n["_lift"] + 3 * n["_obstruction"] + rejected
+        assert n["_to_code"] == n["lifted"] + n["_obstruction"]
+        curve.triple_x(p, g.x)
+        assert taken() == {**dict.fromkeys(counts, 0), "_from_code": 2, "_to_code": 1}
+        x2 = g.x * g.x
+        taken()
+        x2.sqrt()
+        assert taken() == {**dict.fromkeys(counts, 0), "_from_code": 1, "_to_code": 1}
+
+
+def test_point_and_params_are_slotted_frozen_values(f5, params31):
+    """Point and CurveParams keep no __dict__, stay frozen, and compare and
+    hash by value."""
+    p = Point(f5.alpha, f5.one)
+    for obj in (p, INFINITY, params31):
+        assert not hasattr(obj, "__dict__")
+    with pytest.raises(AttributeError):
+        p.x = f5.zero
+    with pytest.raises(AttributeError):
+        params31.a = f5.one
+    q = Point(f5.el(f5.alpha.code), f5.el(1))
+    assert p == q and hash(p) == hash(q) and len({p, q, INFINITY}) == 2
+    same = CurveParams.make(f5, f5.alpha ** 31)
+    assert same == params31 and hash(same) == hash(params31)
+    assert CurveParams.make(f5, f5.alpha) != params31

@@ -1,13 +1,17 @@
 import functools
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ksum3 import errors
-from ksum3.field import Fe, Field, get_field, is_irreducible
+from ksum3.field import Fe, Field, _from_code, _to_code, get_field, is_irreducible
 from linear_referee import solve_linearized
+
+
+M40_MODULUS = "t:21" + "0" * 38 + "1"
 
 
 def codes(field):
@@ -246,22 +250,78 @@ def test_sqrt_decides_residuosity_without_is_square(m, monkeypatch):
 
 
 def test_sqrt_without_tables_every_element(tableless):
-    """The Tonelli-Shanks path, on a table-less field, on every x at
-    m = 2..7: every shape of m = L o (L = 1, 2, 4; o = 1, 3, 5, 7).  Each
-    square gets the table field's root, canonical sign included; each
-    non-square raises."""
+    """Field._tonelli_shanks, the packed square root, on a table-less
+    field on every x at m = 2..7: every shape of m = L o (L = 1, 2, 4;
+    o = 1, 3, 5, 7).  On each square it gives the table field's root,
+    canonical sign included, and so does Fe.sqrt; exactly the non-squares
+    raise NonResidue."""
     for m in range(2, 8):
         g = get_field(m)
         f = tableless(g)
         for code in range(1, f.q):
             x = f.el(code)
             if g.el(code).is_square():
-                y = x._tonelli_shanks()
-                assert y * y == x
-                assert x.sqrt().code == g.el(code).sqrt().code
+                want = g.el(code).sqrt().code
+                assert _to_code(f._tonelli_shanks(_from_code(code)), m) == want
+                y = x.sqrt()
+                assert y.code == want and y * y == x
             else:
                 with pytest.raises(errors.NonResidue):
+                    f._tonelli_shanks(_from_code(code))
+                with pytest.raises(errors.NonResidue):
                     x.sqrt()
+
+
+@pytest.mark.parametrize("m,modulus", [(14, None), (20, None), (40, None), (40, M40_MODULUS)])
+def test_packed_sqrt_past_the_cap(m, modulus):
+    """Past the table cap, on seeded x and on seeded squares y^2, the root
+    squares to x and has the smaller code of +-root, and a non-square
+    (by Euler's criterion) raises NonResidue."""
+    f = get_field(m, modulus)
+    assert f.log is None
+    rng = random.Random(900 + m)
+    ys = [f.el(rng.randrange(1, f.q)) for _ in range(10)]
+    xs = [f.el(rng.randrange(1, f.q)) for _ in range(20)] + [y * y for y in ys]
+    roots = 0
+    for x in xs:
+        if x.is_square():
+            r = x.sqrt()
+            assert r * r == x and r.code < (-r).code
+            roots += 1
+        else:
+            with pytest.raises(errors.NonResidue):
+                x.sqrt()
+    assert 10 < roots < len(xs)
+    for y in ys:
+        assert (y * y).sqrt().code == min(y.code, (-y).code)
+
+
+@pytest.mark.parametrize("bad", ["one", "minus_one", "seeded"])
+def test_tonelli_shanks_loops_are_bounded(bad, monkeypatch):
+    """Tonelli-Shanks makes at most e = v_2(q - 1) passes of at most e
+    squarings.  At M40 (e = 5), with its constant c replaced by one not of
+    order 2^e, sqrt of a square either still returns a root (each pass
+    keeps r^2 = x u, whatever c is) or raises IterationCapExceeded at
+    once; it neither cycles nor fails with a plain ValueError."""
+    f = get_field(40, M40_MODULUS)
+    e, t, _ = f._tonelli_shanks_constants
+    assert e == 5
+    rng = random.Random(4040)
+    c = {"one": 1, "minus_one": 2, "seeded": _from_code(rng.randrange(3, f.q))}[bad]
+    assert f._ring.pow(c, 1 << (e - 1)) != 2
+    monkeypatch.setattr(f, "_tonelli_shanks_constants", (e, t, c))
+    raised = 0
+    start = time.perf_counter()
+    for _ in range(30):
+        x = f.el(rng.randrange(1, f.q)) ** 2
+        try:
+            r = x.sqrt()
+        except errors.IterationCapExceeded:
+            raised += 1
+        else:
+            assert r * r == x
+    assert raised > 0
+    assert time.perf_counter() - start < 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +441,15 @@ def test_primitive_alpha_at_m37():
 
 @pytest.mark.parametrize("m", [4, 14, 40])
 def test_tonelli_shanks_constants_split_q_and_are_cached(m):
-    """q - 1 = 2^e t with t odd, and c = z^t for the first non-square z,
-    so c has order 2^e: c^(2^(e-1)) = -1, with tables (m = 4) and past
-    them (m = 14, 40)."""
+    """q - 1 = 2^e t with t odd, and c = z^t, packed, for the first
+    non-square z, so c has order 2^e: c^(2^(e-1)) = -1, with tables
+    (m = 4) and past them (m = 14, 40)."""
     f = get_field(m)
     e, t, c = f._tonelli_shanks_constants
     assert (1 << e) * t == f.q - 1 and t % 2 == 1
-    assert c ** (1 << (e - 1)) == -f.one
+    assert f._ring.pow(c, 1 << (e - 1)) == 2      # -1, packed
     z = next(x for x in f.nonzero_elements() if not x.is_square())
-    assert c == z ** t
+    assert c == _from_code((z ** t).code)
 
 
 def test_field_is_complete_when_constructed():
