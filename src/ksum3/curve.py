@@ -176,46 +176,46 @@ def triple_x(params: CurveParams, u: Fe) -> Fe:
     return Fe(f, _to_code(d + mul(mul(ap, u3), mul(dinv, dinv)), f.m))
 
 
-def _obstruction(params: CurveParams, x: Fe, y: Fe) -> int:
-    """Tr(a y / x^3) for a point (x, y) with x != 0; zero iff it is
-    3-divisible.  Zero-ness does not depend on the sign of y.  Past the
-    table cap one packed body: a, y and x are packed once, and the value
-    is coded once for its trace walk."""
+def _resolvent(params: CurveParams, x: int, w: int) -> tuple:
+    """(Tr(R), R, 1/x) as codes for a point (x, y) on E(a), given the codes
+    of x and w = y^(1/3): u^3 - u = R is the point's division cubic in
+    Artin-Schreier form (_divide derives it), so Tr(R) is zero iff (x, y)
+    is 3-divisible.  This is the package's one 3-divisibility test, one
+    body on the field's code ops for every field.
+
+    For x != 0, R = A w / x with A = a^(1/3), so R^3 = a y / x^3; the trace
+    is Frobenius-invariant, so Tr(R) = Tr(a y / x^3), the trit and not only
+    whether it is zero.  Negating y negates R and its trit.  At x = 0,
+    R = A w and 1/x is returned as 0, with no inversion.
+    """
     f = params.field
-    if f.log is not None:
-        return (params.a * y / x ** 3).trace()
-    mul = f._ring.mul
-    v = mul(mul(_from_code(params.a.code), _from_code(y.code)),
-            f._chain_inv(f._frobenius(_from_code(x.code), 0)))
-    return _apply_images(f._trace_images, _to_code(v, f.m)) % 3
+    R, xinv = f.code_mul(params.a_cuberoot.code, w), 0
+    if x:
+        xinv = f.code_inv(x)
+        R = f.code_mul(R, xinv)
+    return _apply_images(f._trace_images, R) % 3, R, xinv
 
 
 def div3_obstruction(params: CurveParams, xi: Fe) -> int:
-    """Tr(a sqrt(xi^3 + xi^2 - a) / xi^3); zero iff (xi, *) is 3-divisible.
-
-    Zero-ness does not depend on the square-root sign: Tr(-t) = -Tr(t).
-    """
+    """Tr(a y / xi^3) for y = sqrt(xi^3 + xi^2 - a), _resolvent's trit;
+    zero iff (xi, *) is 3-divisible, whatever the sign of y."""
     if not xi:
         raise ZeroXCoordinate("obstruction undefined at xi = 0")
-    return _obstruction(params, xi, _lift(params, xi))
+    w = params.field._code_cube_root(_lift(params, xi).code)
+    return _resolvent(params, xi.code, w)[0]
 
 
 def solve_tripling_cubic(params: CurveParams, xi: Fe) -> list:
     """All x with 3(x, *) having x-coordinate xi, sorted by code ([] if none)."""
     f = params.field
-    return [Fe(f, c) for c in _divide(params, xi.code, _lift(params, xi).cube_root().code)]
-
-
-def _cube_root(f: Field, c: int) -> int:
-    """The code of c^(1/3): one walk through the field's cube-root chunk tables."""
-    return _to_code(_apply_images(f._cube_root_images, c), f.m)
+    w = f._code_cube_root(_lift(params, xi).code)
+    return [Fe(f, c) for c in _divide(params, xi.code, w)]
 
 
 def _divide(params: CurveParams, xi: int, w: int) -> list:
     """The root codes, sorted, of the division cubic of a point (xi, y) on
-    E(a), given the codes of xi and w = y^(1/3); [] when it has none.  Since
-    R^3 = a y / xi^3 below, this is the descent's one test of whether
-    (xi, y) is 3-divisible.
+    E(a), given the codes of xi and w = y^(1/3); [] when it has none,
+    which is when _resolvent's trit is nonzero.
 
     With A = a^(1/3) and X = xi^(1/3) the cubic is
     P(x) = x^3 - X x^2 + A (1 - X) x - A^2 (A + X), and w^2 = X^3 + X^2 - A
@@ -235,22 +235,20 @@ def _divide(params: CurveParams, xi: int, w: int) -> list:
     Negating R negates u and keeps u^2, so solving u^3 - u = R gives the
     same roots; for the same reason they do not depend on the sign of w.
     The field's Artin-Schreier operator gives the solution u with constant
-    term 0, so the other two are the codes u + 1 and u + 2.
+    term 0, so the other two are the codes u + 1 and u + 2.  1/xi comes
+    from _resolvent, so a division makes at most one inversion.
     """
     f, A = params.field, params.a_cuberoot.code
-    mul, add, neg = f.code_mul, f.code_add, f.code_neg
-    R = mul(A, w)
-    if xi:
-        xinv = f.code_inv(xi)
-        R = mul(R, xinv)
-    if _apply_images(f._trace_images, R) % 3:
+    mul, add, neg, cube_root = f.code_mul, f.code_add, f.code_neg, f._code_cube_root
+    trit, R, xinv = _resolvent(params, xi, w)
+    if trit:
         return []
     u = _to_code(_apply_images(f._artin_schreier_images, R), f.m)
     us = (u, u + 1, u + 2)
     if not xi:
         return sorted(mul(w, v) for v in us)
-    X = _cube_root(f, xi)
-    s, n = add(add(A, neg(mul(A, _cube_root(f, xinv)))), X), neg(X)   # t + X (1 - u^2)
+    X = cube_root(xi)
+    s, n = add(add(A, neg(mul(A, cube_root(xinv)))), X), neg(X)   # t + X (1 - u^2)
     return sorted({add(s, mul(n, mul(v, v))) for v in us})
 
 
@@ -265,10 +263,11 @@ def sample_point(params: CurveParams, rng: random.Random) -> Point:
 
 def sample_generator_candidate(params: CurveParams, rng: random.Random) -> Point:
     """A point that is not 3-divisible (the tripling-walk start condition):
-    the first sample_point with x != 0 and div3_obstruction(x) != 0."""
+    the first sample_point with x != 0 and a nonzero _resolvent trit."""
+    cube_root = params.field._code_cube_root
     for _ in range(GENERATOR_CANDIDATE_CAP):
         p = sample_point(params, rng)
-        if p.x and _obstruction(params, p.x, p.y):
+        if p.x and _resolvent(params, p.x.code, cube_root(p.y.code))[0]:
             return p
     raise SamplingExhausted(
         f"no non-3-divisible point in {GENERATOR_CANDIDATE_CAP} points")

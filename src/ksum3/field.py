@@ -49,9 +49,9 @@ a packed int takes 68 bytes against 36 for the code, and callers keep many
 elements.  So past the table cap each scalar op packs its operands and
 codes its result, and the routines that chain many ops convert only at
 their ends: the square root, Tonelli-Shanks at every m
-(Field._tonelli_shanks), runs on packed ints, and so do curve.py's lift,
-obstruction and tripling step, which pack each input Fe once and code
-each output once.  A reduced packed int orders like its code (both are
+(Field._tonelli_shanks), runs on packed ints, and so do curve.py's lift
+and tripling step, which pack each input Fe once and code each output
+once.  A reduced packed int orders like its code (both are
 positional, every digit below its base), so the canonical square root,
 the smaller of +-y, is the same in both.
 
@@ -397,6 +397,12 @@ class Field:
             return self._exp_mv[self._log_mv[a] * e % (self.q - 1)]
         return _to_code(self._ring.pow(_from_code(a), e), self.m)
 
+    def _code_cube_root(self, a: int) -> int:
+        """The code of a^(1/3) = a^(3^(m-1)), read from the chunk tables of
+        the inverse Frobenius (_cube_root_images, columns (alpha^j)^(1/3))
+        on every field."""
+        return _to_code(_apply_images(self._cube_root_images, a), self.m)
+
     # -- Frobenius-power chains (Itoh & Tsujii, Inf. Comput. 78, 1988) -------
 
     def _frobenius(self, p: int, i: int) -> int:
@@ -689,10 +695,8 @@ class Fe:
     # -- characteristic-3 special maps ---------------------------------------
 
     def cube_root(self) -> "Fe":
-        """x^(1/3) = x^(3^(m-1)), read from the chunk tables of the inverse
-        Frobenius (_cube_root_images, columns (alpha^j)^(1/3)) on every field."""
-        f = self.field
-        return Fe(f, _to_code(_apply_images(f._cube_root_images, self.code), f.m))
+        """x^(1/3) (Field._code_cube_root)."""
+        return Fe(self.field, self.field._code_cube_root(self.code))
 
     def ninth_root(self) -> "Fe":
         return self.cube_root().cube_root()
@@ -704,13 +708,14 @@ class Fe:
         return _apply_images(self.field._trace_images, self.code) % 3
 
     def is_square(self) -> bool:
-        """Euler's criterion x^((q-1)/2) = 1: with log tables the power is
-        one lookup, past them one chain x^(sum_(j<m) 3^j)."""
+        """With log tables, whether log x is even: the table generator spans
+        F_q*, and q - 1 is even.  Past them Euler's criterion
+        x^((q-1)/2) = 1, one chain x^(sum_(j<m) 3^j)."""
         f = self.field
         if not self:
             return True
         if f.log is not None:
-            return self ** ((f.q - 1) // 2) == 1
+            return f._log_mv[self.code] % 2 == 0
         return f._frobenius_chain(_from_code(self.code), 1, f.m) == 1
 
     def sqrt(self) -> "Fe":
@@ -718,18 +723,19 @@ class Fe:
 
         Both signs are valid; the canonical pick keeps outputs reproducible
         across runs (downstream trace conditions are sign-invariant).
-        Residuosity is decided without `is_square`: with log tables a
-        non-square gives y^2 != x, past them Tonelli-Shanks raises
-        (Field._tonelli_shanks, on packed ints).
+        Residuosity is decided without calling `is_square`: with log tables
+        by the parity of log x, as in `is_square`, and past them
+        Tonelli-Shanks raises (Field._tonelli_shanks, on packed ints).
         """
         f = self.field
         if f.log is None:
             return Fe(f, _to_code(f._tonelli_shanks(_from_code(self.code)), f.m))
         if self.code == 0:
             return self
-        y = Fe(f, f._exp_mv[f._log_mv[self.code] // 2])
-        if y * y != self:
+        k = f._log_mv[self.code]
+        if k % 2:
             raise NonResidue(f"{self} is not a square")
+        y = Fe(f, f._exp_mv[k // 2])
         neg = -y
         return y if y.code <= neg.code else neg
 

@@ -111,11 +111,9 @@ def lifting_law_check(
     Valuations come from the descent; wherever the brute-force sum is
     affordable it is run too and must agree, else Ksum3Error is raised.
     """
-    ext, emb = build_extension(base, n)     # CapExceeded for n < 2; at n = 0 the split never ends
-    h, s = 0, n
-    while s % 3 == 0:
-        s //= 3
-        h += 1
+    ext, emb = build_extension(base, n)     # CapExceeded for n < 2
+    h = val3(n, n)
+    s = n // 3 ** h
     H = _checked_depth(base, a, oracle_cap, "base field")
     H_n = _checked_depth(ext, emb(a), oracle_cap, "extension")
     return TowerReport(m=base.m, n=n, h=h, s=s, H=H, H_n=H_n, consistent=H_n == H + h)

@@ -11,15 +11,9 @@ and applies the x-only tripling map.  It ends in one of two ways:
 Either way 3^k exactly divides K(a).  The module also carries the cheap
 divisibility tests (by 9 via the trace, by 27 via the z-parametrization)
 and the level-by-level descent that rebuilds the cyclic 3-subgroup graph.
-The descent expands a node through its division cubic, one equation
-u^3 - u = R whose trace test Tr(R) = 0 is also the node's 3-divisibility
-test, so each node is decided once; y is carried down from the root
-a^(1/3), whose y is a^(1/3) itself, so it takes no square root.  At the
-root R = a^(1/9), whose trace is Tr(a), so the root is decided by the
-trace test of div9 alone: the two thirds of a with Tr(a) != 0 cost no
-cube root, inversion or cubic.  Each expansion runs on element codes
-through the field's scalar code ops and chunk walks, and an Fe is made
-only for the nodes the graph records.
+The descent decides each node it expands once, by curve._resolvent's
+trit (see `descent`), and carries y down from the root, so it takes no
+square root.
 """
 
 from __future__ import annotations
@@ -30,7 +24,6 @@ from typing import List, Optional, Tuple
 
 from .curve import (
     CurveParams,
-    _cube_root,
     _divide,
     div3_obstruction,
     sample_generator_candidate,
@@ -188,13 +181,13 @@ def descent(params: CurveParams, full: bool = False) -> DescentGraph:
     DESCENT_NODE_CAP nodes in all raises CapExceeded before the level that
     would pass it; a graph of depth t holds (3^t - 1) / 2 nodes.
 
-    A node (x, y) has children iff Tr(R) = 0 for the R of its division
-    cubic u^3 - u = R (curve._divide, from x and y^(1/3)); for x != 0 this
-    is the 3-divisibility test Tr(a y / x^3) = 0, and the cubic is solved
-    only for nodes that pass.  The root r = a^(1/3) has y = r, since
-    rhs(r) = r^2, so its R = a^(1/3) w / r is w = a^(1/9), and
-    Tr(a^(1/9)) = Tr(a): an a with Tr(a) != 0 (9 does not divide K(a))
-    has the one-level graph, decided with no cube root, inversion or cubic.
+    A node (x, y) has children iff it is 3-divisible, which curve._divide
+    decides from x and y^(1/3) by the trit of curve._resolvent, solving
+    the division cubic only for nodes that pass.  The root r = a^(1/3) has
+    y = r, since rhs(r) = r^2, so _resolvent's value at (r, r) is
+    R = a^(1/3) r^(1/3) / r = a^(1/9), and Tr(a^(1/9)) = Tr(a): an a with
+    Tr(a) != 0 (9 does not divide K(a)) has the one-level graph, decided
+    by that trace alone with no cube root, inversion or cubic.
     For Q = (x, y) with x^3 != a,
     y(3Q) = (y G(x) / (x^3 - a))^3 with G(x) = x^3 - a - r (x + r), so a
     child x of a node with y-coordinate y_parent has
@@ -219,7 +212,7 @@ def descent(params: CurveParams, full: bool = False) -> DescentGraph:
             raise CapExceeded(f"descent would expand more than {DESCENT_NODE_CAP} nodes")
         nxt: List[Tuple[Fe, int]] = []  # (child, code of y_parent^(1/3))
         for x, y in frontier:
-            w = _cube_root(f, y)
+            w = f._code_cube_root(y)
             for c in _divide(params, x.code, w):
                 child = Fe(f, c)
                 edges.append((x, child))

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ksum3 import curve, errors, field, verify
+from ksum3 import curve, errors, field, valuation, verify
 from ksum3.curve import INFINITY, CurveParams, Point
 from ksum3.field import Fe, get_field
 
@@ -80,6 +80,22 @@ def test_group_order_annihilates_sampled_points_m5(params31):
     for _ in range(25):
         p = curve.sample_point(params31, rng)
         assert curve.scalar_mul(params31, 270, p) == INFINITY
+
+
+@pytest.mark.parametrize("m,modulus", [(5, None), (40, M40_MODULUS)])
+def test_scalar_mul_matches_repeated_addition(m, modulus):
+    """n P for n = -5..40 equals |n| additions of P or -P, on seeded points
+    and INFINITY."""
+    f = get_field(m, modulus)
+    rng = random.Random(5100 + m)
+    for _ in range(3):
+        params = CurveParams.make(f, f.el(rng.randrange(1, f.q)))
+        for p in (curve.sample_point(params, rng), INFINITY):
+            for n in range(-5, 41):
+                want, step = INFINITY, p if n >= 0 else curve.negate(params, p)
+                for _ in range(abs(n)):
+                    want = curve.add(params, want, step)
+                assert curve.scalar_mul(params, n, p) == want
 
 
 def test_doubling_order_two_point(f2):
@@ -244,6 +260,41 @@ def test_cubic_solvable_iff_obstruction_vanishes(m):
                 assert curve.triple_x(params, r) == x
 
 
+@pytest.mark.parametrize("m,modulus", [(5, None), (40, M40_MODULUS)])
+def test_a_planted_trit_moves_every_3_divisibility_output(m, modulus, monkeypatch):
+    """curve._resolvent's trit is the package's one 3-divisibility test: a
+    plant that swaps its zero and nonzero trits changes div3_obstruction,
+    the points sample_generator_candidate accepts, solve_tripling_cubic
+    and the descent's depth, on a table field and past the table cap.
+    Every a has Tr(a) = 0, so the descent reaches the cubic."""
+    f = get_field(m, modulus)
+    rng = random.Random(3100 + m)
+    cases = []
+    for _ in range(4):
+        w = f.el(rng.randrange(3, f.q))             # w outside F_3, so a != 0
+        params = CurveParams.make(f, w ** 3 - w)
+        cases.append((params, [curve.sample_point(params, rng).x for _ in range(6)]))
+
+    def outputs():
+        obstruction, sampled, cubic, depth = [], [], [], []
+        for i, (params, xs) in enumerate(cases):
+            obstruction.append([outcome(curve.div3_obstruction, params, x) for x in xs])
+            sampled.append(curve.sample_generator_candidate(params, random.Random(i)))
+            cubic.append([outcome(curve.solve_tripling_cubic, params, x) for x in xs])
+            depth.append(valuation.descent(params).t)
+        return obstruction, sampled, cubic, depth
+
+    honest, resolvent = outputs(), curve._resolvent
+
+    def planted(*args):
+        trit, R, xinv = resolvent(*args)
+        return int(not trit), R, xinv
+
+    monkeypatch.setattr(curve, "_resolvent", planted)
+    for got, want in zip(outputs(), honest):
+        assert got != want
+
+
 def brute_cubic_roots(f, a, xis):
     """For each xi in xis, the codes of every x with P(x) = 0, where P is
     the division cubic at xi: the cubic is evaluated at the whole field
@@ -400,19 +451,16 @@ def test_curve_paths_take_no_is_square(m, modulus, monkeypatch):
 
 
 def test_packed_curve_routines_convert_each_fe_once(monkeypatch):
-    """Past the table cap _lift, _obstruction and triple_x each pack every
-    input Fe once and code every output once: during seeded
-    sample_generator_candidate calls, _from_code runs twice per _lift (x,
-    a), once more for the message of an x that does not lift, and three
-    times per _obstruction (a, y, x), and _to_code once per lifted y and
-    once per obstruction (its value, for the trace walk);
-    triple_x packs u and a and codes its value; Fe.sqrt packs and codes
-    once.  The Frobenius walks index their chunk tables by code inside a
-    field operation, and are not counted."""
+    """Past the table cap _lift and triple_x each pack every input Fe once
+    and code every output once: on seeded x, _lift packs x and a, packs x
+    once more for the message of an x that does not lift, and codes a
+    lifted y once; triple_x packs u and a and codes its value; Fe.sqrt
+    packs and codes once.  The Frobenius walks index their chunk tables by
+    code inside a field operation, and are not counted."""
     f = get_field(40, M40_MODULUS)
     rng = random.Random(4141)
     params = [CurveParams.make(f, f.el(rng.randrange(1, f.q))) for _ in range(6)]
-    counts = {"_from_code": 0, "_to_code": 0, "_lift": 0, "lifted": 0, "_obstruction": 0}
+    counts = {"_from_code": 0, "_to_code": 0}
 
     def conversion(name, fn):
         def counted(*args):
@@ -421,23 +469,10 @@ def test_packed_curve_routines_convert_each_fe_once(monkeypatch):
             return fn(*args)
         return counted
 
-    def routine(name):
-        fn = getattr(curve, name)
-
-        def counted(*args):
-            counts[name] += 1
-            out = fn(*args)
-            if name == "_lift":
-                counts["lifted"] += 1       # x lifted: _lift did not raise
-            return out
-        return counted
-
-    for name in ("_from_code", "_to_code"):
+    for name in counts:
         counted = conversion(name, getattr(field, name))
         for module in (field, curve):
             monkeypatch.setattr(module, name, counted)
-    for name in ("_lift", "_obstruction"):
-        monkeypatch.setattr(curve, name, routine(name))
 
     def taken():
         out = dict(counts)
@@ -445,19 +480,25 @@ def test_packed_curve_routines_convert_each_fe_once(monkeypatch):
             counts[k] = 0
         return out
 
-    for i, p in enumerate(params):
-        g = curve.sample_generator_candidate(p, random.Random(i))
-        n = taken()
-        assert n["_lift"] >= n["lifted"] >= n["_obstruction"] >= 1
-        rejected = n["_lift"] - n["lifted"]       # each NotOnCurve message prints x
-        assert n["_from_code"] == 2 * n["_lift"] + 3 * n["_obstruction"] + rejected
-        assert n["_to_code"] == n["lifted"] + n["_obstruction"]
-        curve.triple_x(p, g.x)
-        assert taken() == {**dict.fromkeys(counts, 0), "_from_code": 2, "_to_code": 1}
-        x2 = g.x * g.x
-        taken()
-        x2.sqrt()
-        assert taken() == {**dict.fromkeys(counts, 0), "_from_code": 1, "_to_code": 1}
+    outcomes = set()
+    for p in params:
+        for x in [f.el(rng.randrange(1, f.q)) for _ in range(4)]:
+            taken()
+            try:
+                y = curve._lift(p, x)
+            except errors.NotOnCurve:
+                assert taken() == {"_from_code": 3, "_to_code": 0}
+                outcomes.add(False)
+                continue
+            assert taken() == {"_from_code": 2, "_to_code": 1}
+            outcomes.add(True)
+            curve.triple_x(p, x)
+            assert taken() == {"_from_code": 2, "_to_code": 1}
+            x2 = y * y
+            taken()
+            x2.sqrt()
+            assert taken() == {"_from_code": 1, "_to_code": 1}
+    assert outcomes == {False, True}
 
 
 def test_point_and_params_are_slotted_frozen_values(f5, params31):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from ksum3 import errors
 from ksum3.field import Fe, Field, _from_code, _to_code, get_field, is_irreducible
 from linear_referee import solve_linearized
+from test_packed import NON_PRIMITIVE_FIELDS
 
 
 M40_MODULUS = "t:21" + "0" * 38 + "1"
@@ -201,11 +202,14 @@ def test_f9_has_four_nonzero_squares(f2):
     assert len(squares) == 4
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-def test_sqrt_squares_exhaustive(m):
-    """is_square (Euler's criterion) holds exactly on the products y y,
-    and sqrt inverts squaring there and raises elsewhere."""
-    f = get_field(m)
+@pytest.mark.parametrize("m,modulus", [(m, None) for m in range(2, 7)] + NON_PRIMITIVE_FIELDS,
+                         ids=[str(m) for m in range(2, 7)]
+                         + [f"m{m}-{mod[2:]}" for m, mod in NON_PRIMITIVE_FIELDS])
+def test_sqrt_squares_exhaustive(m, modulus):
+    """is_square (the parity of log x) holds exactly on the products y y,
+    and sqrt inverts squaring there and raises elsewhere, also where the
+    table generator is not alpha."""
+    f = Field(m, modulus) if modulus else get_field(m)
     assert {x for x in f.elements() if x.is_square()} == {y * y for y in f.elements()}
     for x in f.elements():
         if x.is_square():

@@ -435,9 +435,10 @@ def test_descent_takes_no_square_root(monkeypatch):
 
 
 def test_descent_decides_each_node_once(monkeypatch):
-    """The division cubic's trace test is the descent's only
-    3-divisibility decision: with _obstruction refused, both policies give
-    the graphs they gave before."""
+    """curve._resolvent's trit is the descent's only 3-divisibility
+    decision, taken once per expanded node: with Tr(a) = 0 the default
+    policy expands one node per level and the full policy every node, and
+    with Tr(a) != 0 it expands none."""
     cases = [CurveParams.make(get_field(5), a) for a in get_field(5).nonzero_elements()]
     for m, modulus in ((10, None), (40, M40_MODULUS)):
         f = get_field(m, modulus)
@@ -446,19 +447,22 @@ def test_descent_decides_each_node_once(monkeypatch):
             a = f.el(rng.randrange(1, f.q))
             cases.append(CurveParams.make(f, a ** 3 - a if i % 2 else a))
 
-    def graphs():
-        return [[[n.code for n in lv] for lv in valuation.descent(params, full).levels]
-                for params in cases for full in (False, True)]
+    calls, resolvent = [], curve._resolvent
 
-    expected = graphs()
-    assert max(len(levels) for levels in expected) >= 3
+    def counted(*args):
+        calls.append(args)
+        return resolvent(*args)
 
-    def refuse(*args):
-        raise AssertionError("descent tested 3-divisibility outside the cubic")
-
-    for module in (curve, valuation):
-        monkeypatch.setattr(module, "_obstruction", refuse, raising=False)
-    assert graphs() == expected
+    monkeypatch.setattr(curve, "_resolvent", counted)
+    depths = []
+    for params in cases:
+        for full in (False, True):
+            calls.clear()
+            levels = valuation.descent(params, full).levels
+            want = 0 if params.a.trace() else sum(map(len, levels)) if full else len(levels)
+            assert len(calls) == want
+            depths.append(len(levels))
+    assert max(depths) >= 3
 
 
 def test_divide_makes_at_most_one_inversion(monkeypatch):
@@ -528,7 +532,8 @@ def test_root_cubic_solvable_iff_trace_zero():
 
 def test_descent_with_nonzero_trace_skips_cubic_and_inversion(monkeypatch):
     """At M40 an a with Tr(a) != 0 has the one-level graph {a^(1/3)},
-    reached with no division cubic and no inversion (Field._chain_inv)."""
+    reached with no division cubic, no inversion (Field._chain_inv) and no
+    cube root."""
     f = get_field(40, M40_MODULUS)
     rng = random.Random(4041)
     cases = []
@@ -538,10 +543,12 @@ def test_descent_with_nonzero_trace_skips_cubic_and_inversion(monkeypatch):
             cases.append(CurveParams.make(f, a))
 
     def refuse(*args):
-        raise AssertionError("descent solved a cubic or inverted at a node it decides by Tr(a)")
+        raise AssertionError("descent solved, inverted or took a cube root at a node it "
+                             "decides by Tr(a)")
 
     monkeypatch.setattr(valuation, "_divide", refuse)
     monkeypatch.setattr(field.Field, "_chain_inv", refuse)
+    monkeypatch.setattr(field.Field, "_code_cube_root", refuse)
     for params in cases:
         for full in (False, True):
             g = valuation.descent(params, full)
