@@ -21,7 +21,7 @@ import argparse
 import json
 import random
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 try:   # hashlib's own blake2b; importing hashlib would also load OpenSSL
     from _blake2 import blake2b
@@ -43,20 +43,23 @@ def _task_seed(seed: int, index: int) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def _emit(records: List[dict], output: str, out) -> None:
-    if output == "table":
-        if not records:
-            return
-        keys = list(records[0].keys())
-        rows = [[json.dumps(r.get(k)) if not isinstance(r.get(k), str) else str(r.get(k))
-                 for k in keys] for r in records]
-        widths = [max(len(k), *(len(row[i]) for row in rows)) for i, k in enumerate(keys)]
-        print("  ".join(k.ljust(w) for k, w in zip(keys, widths)), file=out)
-        for row in rows:
-            print("  ".join(c.ljust(w) for c, w in zip(row, widths)), file=out)
-    else:
+def _emit(records: Iterable[dict], output: str, out) -> None:
+    """json: one line per record, printed as it arrives; table: aligned
+    columns, which need every record for their widths."""
+    if output != "table":
         for r in records:
             print(json.dumps(r), file=out)
+        return
+    records = list(records)
+    if not records:
+        return
+    keys = list(records[0].keys())
+    rows = [[json.dumps(r.get(k)) if not isinstance(r.get(k), str) else str(r.get(k))
+             for k in keys] for r in records]
+    widths = [max(len(k), *(len(row[i]) for row in rows)) for i, k in enumerate(keys)]
+    print("  ".join(k.ljust(w) for k, w in zip(keys, widths)), file=out)
+    for row in rows:
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)), file=out)
 
 
 def _element_fields(a: Fe) -> dict:
@@ -106,38 +109,26 @@ def cmd_kval(args, field: Field, out) -> int:
 def cmd_scan(args, field: Field, out) -> int:
     with_oracle = field.q <= args.oracle_cap and field.exp is not None
     sums = kloosterman_sums(field) if with_oracle else None
-    records = []
     hist: dict = {}
     zeros = []
-    for code in range(1, field.q):
-        a = field.el(code)
-        rep = kval(CurveParams.make(field, a), random.Random(_task_seed(args.seed, code)))
-        rec = {
-            "index": code,
-            **_element_fields(a),
-            "k": rep.k,
-            "case": rep.case,
-            "r": rep.r,
-        }
-        if sums is not None:
-            rec["K"] = sums[code]
-            rec["agree"] = rep.k == val3(sums[code], field.m)
-        if args.output == "table":   # needs every record for its column widths
-            records.append(rec)
-        else:
-            print(json.dumps(rec), file=out)
-        hist[rep.k] = hist.get(rep.k, 0) + 1
-        if rep.kloosterman_is_zero:
-            zeros.append(rec["a"])
-    summary = {
-        "summary": {
-            "m": field.m,
-            "histogram": {str(k): hist[k] for k in sorted(hist)},
-            "zeros": zeros,
-        }
-    }
-    _emit(records, args.output, out)
-    print(json.dumps(summary), file=out)
+
+    def records():
+        for code in range(1, field.q):
+            a = field.el(code)
+            rep = kval(CurveParams.make(field, a), random.Random(_task_seed(args.seed, code)))
+            rec = {"index": code, **_element_fields(a), "k": rep.k, "case": rep.case, "r": rep.r}
+            if sums is not None:
+                rec["K"] = sums[code]
+                rec["agree"] = rep.k == val3(sums[code], field.m)
+            hist[rep.k] = hist.get(rep.k, 0) + 1
+            if rep.kloosterman_is_zero:
+                zeros.append(rec["a"])
+            yield rec
+
+    _emit(records(), args.output, out)
+    histogram = {str(k): hist[k] for k in sorted(hist)}
+    print(json.dumps({"summary": {"m": field.m, "histogram": histogram, "zeros": zeros}}),
+          file=out)
     return 0
 
 

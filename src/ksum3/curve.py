@@ -28,7 +28,7 @@ from .errors import (
     ZeroParameter,
     ZeroXCoordinate,
 )
-from .field import Fe, Field, _apply_images, _from_code, _lanes, _to_code
+from .field import Fe, Field, _from_code, _lanes, _to_code
 
 SAMPLE_POINT_CAP = 10_000
 GENERATOR_CANDIDATE_CAP = 256
@@ -193,7 +193,7 @@ def _resolvent(params: CurveParams, x: int, w: int) -> tuple:
     if x:
         xinv = f.code_inv(x)
         R = f.code_mul(R, xinv)
-    return _apply_images(f._trace_images, R) % 3, R, xinv
+    return f._code_trace(R), R, xinv
 
 
 def div3_obstruction(params: CurveParams, xi: Fe) -> int:
@@ -243,7 +243,7 @@ def _divide(params: CurveParams, xi: int, w: int) -> list:
     trit, R, xinv = _resolvent(params, xi, w)
     if trit:
         return []
-    u = _to_code(_apply_images(f._artin_schreier_images, R), f.m)
+    u = f._code_artin_schreier(R)
     us = (u, u + 1, u + 2)
     if not xi:
         return sorted(mul(w, v) for v in us)

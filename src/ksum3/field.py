@@ -8,19 +8,18 @@ code 0, the unit is code 1, and the residue of x (called alpha) is code 3.
 Fields small enough (q <= 3^13) carry exp/log tables with respect to a
 multiplicative generator g, which serve the scalar product, inverse, power
 and square root there, plus a trace table, which serves only the oracle's
-numpy passes over whole fields; the tower module needs the generator.  The
-exp table doubles rather than growing one product at a time: x -> g^B x is
-F_3-linear (Lidl & Niederreiter, Finite Fields, ch. 2), so the base-3
-digits of g^B..g^(2B-1) are those of g^0..g^(B-1) times its m x m matrix
-mod 3, one numpy pass over int8 digit planes, and g^B then squares; the
-trace table is the same digit planes dotted with Tr(alpha^i).  A
-Zech-log table, zech[k] = log(1 + g^k), makes the scalar add a lookup too:
-g^i + g^j = g^(i + zech[j - i]), and -1 = g^(n/2) for n = q - 1 (Huber,
-IEEE Trans. Inf. Theory 36, 1990).  Scalar ops read the tables through
-memoryviews, which index faster than numpy arrays and share their memory.
-numpy is imported only where the tables are built or read whole (the table
-build, the vectorized code ops, the oracle), so a field past the table cap
-never loads it.
+numpy passes over whole fields.  The exp table doubles rather than growing
+one product at a time: x -> g^B x is F_3-linear (Lidl & Niederreiter,
+Finite Fields, ch. 2), so the base-3 digits of g^B..g^(2B-1) are those of
+g^0..g^(B-1) times its m x m matrix mod 3, one numpy pass over int8 digit
+planes, and g^B then squares; the trace table is the same digit planes
+dotted with Tr(alpha^i).  A Zech-log table, zech[k] = log(1 + g^k), makes
+the scalar add a lookup too: g^i + g^j = g^(i + zech[j - i]), and
+-1 = g^(n/2) for n = q - 1 (Huber, IEEE Trans. Inf. Theory 36, 1990).
+Scalar ops read the tables through memoryviews, which index faster than
+numpy arrays and share their memory.  numpy is imported only where the
+tables are built or read whole (the table build, the vectorized code ops,
+the oracle), so a field past the table cap never loads it.
 
 All other F_3-vector work -- products, powers and inverses past the table
 cap, the doubling matrices and the linear maps -- runs on packed integers:
@@ -403,6 +402,14 @@ class Field:
         on every field."""
         return _to_code(_apply_images(self._cube_root_images, a), self.m)
 
+    def _code_trace(self, a: int) -> int:
+        """Tr(a) of a code, from the trace functional's chunk tables."""
+        return _apply_images(self._trace_images, a) % 3
+
+    def _code_artin_schreier(self, a: int) -> int:
+        """The root code u with constant term 0 of u^3 - u = a, Tr(a) = 0."""
+        return _to_code(_apply_images(self._artin_schreier_images, a), self.m)
+
     # -- Frobenius-power chains (Itoh & Tsujii, Inf. Comput. 78, 1988) -------
 
     def _frobenius(self, p: int, i: int) -> int:
@@ -594,7 +601,7 @@ class Field:
         self._check(a)
         if a.trace():
             raise NoSolution(f"trace({a}) != 0, w^3 - w = a unsolvable")
-        w = Fe(self, _to_code(_apply_images(self._artin_schreier_images, a.code), self.m))
+        w = Fe(self, self._code_artin_schreier(a.code))
         return [w, w + 1, w + 2]
 
     def _check(self, x: "Fe") -> None:
@@ -702,10 +709,8 @@ class Fe:
         return self.cube_root().cube_root()
 
     def trace(self) -> int:
-        """Tr(x) = sum c_i Tr(alpha^i), read from the chunk tables of the
-        trace functional (_trace_images) on every field; trace_table serves
-        only the oracle's numpy passes."""
-        return _apply_images(self.field._trace_images, self.code) % 3
+        """Tr(x); trace_table serves only the oracle's numpy passes."""
+        return self.field._code_trace(self.code)
 
     def is_square(self) -> bool:
         """With log tables, whether log x is even: the table generator spans

@@ -8,6 +8,9 @@ the lifting law is H_n(a) = H(a) + h where n = 3^h * s, gcd(s, 3) = 1.
 Valuations come from the descent, which needs no sum over the field; the
 brute-force oracle cross-checks them wherever it can run.
 
+One (extension, embedding) pair is built per (base field, n); its root
+search stops at the first root found and takes its least conjugate.
+
 The degree-3 lift also satisfies a closed-form identity in K(a); two
 candidate forms differing by 3q are adjudicated numerically here rather
 than assumed (see adjudicate_k3).
@@ -16,6 +19,7 @@ than assumed (see adjudicate_k3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple
 
 from .curve import CurveParams
@@ -48,31 +52,25 @@ def _horner(coeffs, x: Fe) -> Fe:
 
 
 def _find_root(base: Field, ext: Field) -> Fe:
-    """Smallest-code root of the base modulus inside the extension.
-
-    Every root lies in the embedded copy of the base field, whose nonzero
-    elements are the powers of gamma = g^{(q_ext - 1)/(q_base - 1)} for a
-    generator g of the extension, so only those q_base - 1 are evaluated.
-    """
-    g = ext.el(ext.generator_code)
-    gamma = g ** ((ext.q - 1) // (base.q - 1))
-    best = None
+    """Smallest-code root of the base modulus inside the extension: the
+    first root beta among the powers of gamma = alpha^{(q_ext-1)/(q_base-1)},
+    which span the embedded base field (alpha is primitive for every builtin
+    modulus), then the least of its conjugates beta^(3^i), i < m, which are
+    all the roots of the irreducible modulus."""
+    gamma = ext.alpha ** ((ext.q - 1) // (base.q - 1))
     cur = ext.one
     for _ in range(base.q - 1):
-        if not _horner(base.modulus, cur) and (best is None or cur.code < best.code):
-            best = cur
+        if not _horner(base.modulus, cur):
+            return min((cur ** (3 ** i) for i in range(base.m)), key=lambda x: x.code)
         cur = cur * gamma
-    if best is None:
-        raise NoRootFound("base modulus has no root in the extension")
-    return best
+    raise NoRootFound("base modulus has no root in the extension")
 
 
+@lru_cache(maxsize=None)
 def build_extension(base: Field, n: int) -> Tuple[Field, Embedding]:
-    """GF(3^{mn}) with an embedding of the base field.
-
-    The extension gets its own builtin modulus; the embedding map carries
-    all the relative structure.
-    """
+    """GF(3^{mn}) with an embedding of the base field, built once per
+    (base, n).  The extension gets its own builtin modulus; the embedding
+    map carries all the relative structure."""
     if n < 2:
         raise CapExceeded("extension degree n must be >= 2")
     mn = base.m * n

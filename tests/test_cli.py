@@ -101,6 +101,23 @@ def test_scan_summary_m3():
     assert all(r["agree"] for r in body)
 
 
+@pytest.mark.parametrize("output,walks_before_first_line", [("json", 1), ("table", 26)])
+def test_scan_json_streams_and_table_collects(output, walks_before_first_line, monkeypatch):
+    """json prints each record as soon as its walk ends; table prints after
+    all q - 1 walks, as it needs every record for its column widths."""
+    walks, first = [], []
+    real = cli.kval
+    monkeypatch.setattr(cli, "kval", lambda *a: walks.append(1) or real(*a))
+
+    class Out(io.StringIO):
+        def write(self, text):
+            first.append(len(walks))
+            return super().write(text)
+
+    assert main(["--m", "3", "--output", output, "scan"], out=Out()) == 0
+    assert first[0] == walks_before_first_line and len(walks) == 26
+
+
 def test_scan_zeros_m2():
     _, recs = run_json(["--m", "2", "scan"])
     assert sorted(recs[-1]["summary"]["zeros"]) == ["t:12", "t:21"]

@@ -45,6 +45,14 @@ def test_wrong_length_rejected():
         Field(3, (1, 1, 1))
 
 
+@pytest.mark.parametrize("m", [1, 41])
+def test_degree_outside_range_rejected(m):
+    with pytest.raises(errors.DegreeMismatch):
+        Field(m, (1,) * (m + 1))
+    with pytest.raises(errors.FormatError):   # no builtin modulus either
+        get_field(m)
+
+
 def test_monic_quadratics_against_trial_root_oracle():
     # independent oracle: a monic quadratic over F_3 is reducible iff it
     # has a root in F_3
@@ -78,6 +86,15 @@ def test_int_equality_agrees_with_hash(f5):
 def test_inverse_of_zero_raises(f5):
     with pytest.raises(errors.DivisionByZero):
         f5.zero.inv()
+    with pytest.raises(errors.DivisionByZero):
+        f5.zero ** -1
+    with pytest.raises(errors.DivisionByZero):
+        2 / f5.zero
+
+
+def test_int_divided_by_element(f5):
+    for x in f5.nonzero_elements():
+        assert 2 / x == 2 * x.inv()
 
 
 def test_multiplicative_group_order(f5):
@@ -428,6 +445,9 @@ def test_format_errors(f5):
     for bad in ("t:123", "t:2010", "p:x", "20100", "t:201003"):
         with pytest.raises(errors.FormatError):
             f5.parse(bad)
+    for code in (-1, f5.q):
+        with pytest.raises(errors.FormatError):
+            f5.el(code)
 
 
 # ---------------------------------------------------------------------------

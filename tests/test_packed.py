@@ -26,6 +26,7 @@ from sympy import Poly, factorint, symbols
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_pow_mod
 
+from ksum3.errors import CapExceeded, FormatError
 from ksum3.field import (
     LANE,
     Field,
@@ -217,6 +218,8 @@ def test_tables_from_a_non_primitive_alpha(modulus):
     gen = f.el(f.generator_code).coeffs
     for x, y in zip(f.exp.tolist(), f.exp[1:].tolist()):
         assert schoolbook_mul(f.el(x).coeffs, gen, f.modulus) == f.el(y).coeffs
+    with pytest.raises(FormatError):   # p:<k> names a power of alpha
+        f.parse("p:1")
 
 
 # sha256 over the dtype and bytes of exp, log, the Zech table and trace_table,
@@ -306,6 +309,15 @@ def test_inverse(big):
     f, xs = big
     for x in xs:
         assert x * x.inv() == f.one
+        assert 2 / x == 2 * x.inv()
+
+
+def test_vectorized_ops_need_tables(big):
+    f, xs = big
+    with pytest.raises(CapExceeded):
+        f.mul_codes([x.code for x in xs], 2)
+    with pytest.raises(CapExceeded):
+        f.pow_codes([x.code for x in xs], 3)
 
 
 def test_chain_inverse_and_tonelli_shanks_power(big):

@@ -57,10 +57,39 @@ def test_absolute_trace_relation(f2, emb22, emb23):
 
 
 def test_build_extension_caps(f5):
-    with pytest.raises(errors.CapExceeded):
-        tower.build_extension(f5, 3)  # 15 > cap
-    with pytest.raises(errors.CapExceeded):
-        tower.build_extension(f5, 1)
+    for _ in range(2):   # raised on every call: an exception is never cached
+        with pytest.raises(errors.CapExceeded):
+            tower.build_extension(f5, 3)  # 15 > cap
+        with pytest.raises(errors.CapExceeded):
+            tower.build_extension(f5, 1)
+
+
+def test_build_extension_is_built_once(f2):
+    assert tower.build_extension(f2, 2) is tower.build_extension(f2, 2)
+
+
+def test_one_root_search_per_tower_pass(monkeypatch):
+    """A whole-field tower pass builds its (extension, embedding) pair once,
+    so it searches for a root once, not once per element."""
+    real, calls = tower._find_root, []
+    monkeypatch.setattr(tower, "_find_root", lambda base, ext: calls.append(1) or real(base, ext))
+    tower.build_extension.cache_clear()
+    assert cli.main(["--m", "3", "tower", "--n", "2", "--all"], out=io.StringIO()) == 0
+    assert cli.main(["--m", "3", "--a", "t:120", "tower", "--n", "2"], out=io.StringIO()) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
+def test_find_root_stops_at_first_root(m, n, monkeypatch):
+    """The m roots are among the q_base - 1 powers of gamma, so the search
+    stops after at most q_base - m evaluations, where a full scan makes
+    q_base - 1; it reads alpha, not the table generator."""
+    base, ext = get_field(m), get_field(m * n)
+    real, calls = tower._horner, []
+    monkeypatch.setattr(tower, "_horner", lambda c, x: calls.append(1) or real(c, x))
+    monkeypatch.setattr(ext, "generator_code", None)
+    tower._find_root(base, ext)
+    assert len(calls) <= base.q - base.m
 
 
 # ---------------------------------------------------------------------------

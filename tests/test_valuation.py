@@ -77,6 +77,13 @@ def test_walk_digest(m):
     assert h.hexdigest() == WALK_DIGESTS[m]
 
 
+def test_kval_default_rng_is_seed_zero(params31):
+    """With neither rng nor u1, the start is sampled by random.Random(0)."""
+    rep = valuation.kval(params31)
+    assert rep == valuation.kval(params31, random.Random(0))
+    assert rep != valuation.kval(params31, random.Random(1))
+
+
 def test_kval_rejects_divisible_start(f5, params31):
     with pytest.raises(errors.ZeroParameter):
         valuation.kval(params31, u1=f5.alpha ** 7)  # obstruction vanishes there
@@ -138,6 +145,12 @@ def test_zero_test_golden(params31):
 
 def test_div9_golden(f5):
     assert valuation.div9(f5, f5.alpha ** 31)
+
+
+@pytest.mark.parametrize("test", [valuation.div9, valuation.div27])
+def test_divisibility_tests_reject_zero(f5, test):
+    with pytest.raises(errors.ZeroParameter):
+        test(f5, f5.zero)
 
 
 @pytest.mark.parametrize("m", [3, 4])
