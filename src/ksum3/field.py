@@ -6,10 +6,11 @@ with c_i multiplying x^i encodes to sum(c_i * 3^i).  The zero element is
 code 0, the unit is code 1, and the residue of x (called alpha) is code 3.
 
 Fields small enough (q <= 3^13) carry exp/log tables with respect to a
-multiplicative generator g, which serve the scalar product, inverse, power
-and square root there, plus a trace table, which serves only the oracle's
-numpy passes over whole fields.  The exp table doubles rather than growing
-one product at a time: x -> g^B x is F_3-linear (Lidl & Niederreiter,
+multiplicative generator g, which serve the scalar product, inverse, power,
+cube root (x^(1/3) = g^(3^(m-1) log x)) and square root there, plus a
+trace table, which serves the scalar trace and the oracle's numpy passes
+over whole fields.  The exp table doubles rather than growing one product
+at a time: x -> g^B x is F_3-linear (Lidl & Niederreiter,
 Finite Fields, ch. 2), so the base-3 digits of g^B..g^(2B-1) are those of
 g^0..g^(B-1) times its m x m matrix mod 3, one numpy pass over int8 digit
 planes, and g^B then squares; the trace table is the same digit planes
@@ -27,10 +28,12 @@ byte i of a Python int holds coordinate i (LANE = 8 bits per trit).  A
 lane of the integer product of two packed polynomials sums at most
 m <= M_CAP = 40 products of two trits, so it is at most 4 * M_CAP = 160
 < 2^8 and never carries into the next lane; one bytes translation then
-reduces every lane mod 3.  Every F_3-linear map of a code, on every field, is one walk over
-its base-81 digits through chunk tables (_chunk_images): the identity
-(code to packed int), the cube root, the trace and a right inverse of
-u -> u^3 - u.  The last three are read off one table of conjugates,
+reduces every lane mod 3.  Every F_3-linear map of a code is one walk
+over its base-81 digits through chunk tables (_chunk_images): on every
+field the identity (code to packed int) and a right inverse of
+u -> u^3 - u, and past the table cap, as their only path there, the cube
+root and the trace (with tables both are lookups).  The cube root, the
+trace and the inverse are read off one table of conjugates,
 conj[k][j] = (alpha^(3^k))^j: row m - 1 is the cube root, column j sums
 to Tr(alpha^j), and the inverse needs no linear solve: by additive
 Hilbert 90, with Tr(theta) = -1 and C_k = sum_(k<i<m) theta^(3^i),
@@ -334,8 +337,9 @@ class Field:
         zech = log[exp - exp % 3 + (exp + 1) % 3]
         self._exp_mv, self._log_mv, self._zech_mv = map(memoryview, (exp, log, zech))
         tr_basis = np.array(self._tr_basis, dtype=np.int8)
-        self.trace_table = np.zeros(q, dtype=np.uint8)
+        self.trace_table = np.zeros(q, dtype=np.uint8)             # Tr(0) = 0
         self.trace_table[exp] = np.einsum("i,ik->k", tr_basis, digits) % 3
+        self._trace_mv = memoryview(self.trace_table)
 
     def _find_generator(self) -> int:
         for code in range(2, self.q):
@@ -397,13 +401,19 @@ class Field:
         return _to_code(self._ring.pow(_from_code(a), e), self.m)
 
     def _code_cube_root(self, a: int) -> int:
-        """The code of a^(1/3) = a^(3^(m-1)), read from the chunk tables of
-        the inverse Frobenius (_cube_root_images, columns (alpha^j)^(1/3))
-        on every field."""
+        """The code of a^(1/3) = a^(3^(m-1)): with log tables
+        exp[log(a) 3^(m-1) mod (q-1)], past them a walk through the chunk
+        tables of the inverse Frobenius (_cube_root_images, columns
+        (alpha^j)^(1/3))."""
+        if self.log is not None:
+            return self._exp_mv[self._log_mv[a] * (self.q // 3) % (self.q - 1)] if a else 0
         return _to_code(_apply_images(self._cube_root_images, a), self.m)
 
     def _code_trace(self, a: int) -> int:
-        """Tr(a) of a code, from the trace functional's chunk tables."""
+        """Tr(a) of a code: with tables a lookup in trace_table, past them a
+        walk through the trace functional's chunk tables."""
+        if self.log is not None:
+            return self._trace_mv[a]
         return _apply_images(self._trace_images, a) % 3
 
     def _code_artin_schreier(self, a: int) -> int:
@@ -709,7 +719,7 @@ class Fe:
         return self.cube_root().cube_root()
 
     def trace(self) -> int:
-        """Tr(x); trace_table serves only the oracle's numpy passes."""
+        """Tr(x) (Field._code_trace)."""
         return self.field._code_trace(self.code)
 
     def is_square(self) -> bool:

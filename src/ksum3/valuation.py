@@ -13,7 +13,11 @@ divisibility tests (by 9 via the trace, by 27 via the z-parametrization)
 and the level-by-level descent that rebuilds the cyclic 3-subgroup graph.
 The descent decides each node it expands once, by curve._resolvent's
 trit (see `descent`), and carries y down from the root, so it takes no
-square root.
+square root.  With log tables it expands each node on discrete logs
+(_log_steps: a product is a sum of logs, a sum one Zech lookup); element
+codes appear only for _resolvent's trit, the Artin-Schreier walk of its
+R and the children the graph records.  Past the tables the same level
+loop expands on the field's code ops (_code_steps).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Tuple
 
+from . import curve as _curve
 from .curve import (
     CurveParams,
     _divide,
@@ -193,27 +198,26 @@ def descent(params: CurveParams, full: bool = False) -> DescentGraph:
     child x of a node with y-coordinate y_parent has
     y = y_parent^(1/3) (x^3 - a) / G(x), exactly: 3 (x, y) is the parent
     point itself, not its negative.  y is computed only for the nodes
-    that get expanded.  Every expansion runs on element codes; an Fe is
-    made only for the nodes the graph records.
+    that get expanded.  The level loop is one for every field; a node is
+    expanded by _log_steps with log tables and by _code_steps past them.
+    Either way an Fe is made only for the nodes the graph records.
     """
     f, r = params.field, params.a_cuberoot
     levels: List[List[Fe]] = [[r]]
     edges: List[Tuple[Fe, Fe]] = []
     if params.a.trace():
         return DescentGraph(levels=levels, edges=edges)
-    mul, add, neg = f.code_mul, f.code_add, f.code_neg
-    rc = r.code
-    neg_a = neg(params.a.code)
-    frontier = [(r, rc)]                # (node, code of its y) to expand
+    y, divide, lift = (_code_steps if f.log is None else _log_steps)(params)
+    frontier = [(r, y)]                 # (node, its y) to expand, y as the steps hold it
     expanded = 0
     while True:
         expanded += len(frontier)
         if expanded > DESCENT_NODE_CAP:
             raise CapExceeded(f"descent would expand more than {DESCENT_NODE_CAP} nodes")
-        nxt: List[Tuple[Fe, int]] = []  # (child, code of y_parent^(1/3))
+        nxt: List[Tuple[Fe, int]] = []  # (child, w = y_parent^(1/3))
         for x, y in frontier:
-            w = f._code_cube_root(y)
-            for c in _divide(params, x.code, w):
+            w, codes = divide(x.code, y)
+            for c in codes:
                 child = Fe(f, c)
                 edges.append((x, child))
                 nxt.append((child, w))
@@ -222,12 +226,87 @@ def descent(params: CurveParams, full: bool = False) -> DescentGraph:
         levels.append([c for c, _ in nxt])
         if len(levels) > f.m:
             raise IterationCapExceeded("descent deeper than m levels")
-        frontier = []
-        for x, w in nxt if full else nxt[:1]:
-            c = x.code
-            d = add(f.code_pow(c, 3), neg_a)
-            g = add(d, neg(mul(rc, add(c, rc))))
-            frontier.append((x, mul(mul(w, d), f.code_inv(g))))
+        frontier = [(x, lift(x.code, w)) for x, w in (nxt if full else nxt[:1])]
+
+
+def _code_steps(params: CurveParams) -> tuple:
+    """The descent's node steps on the field's code ops, y and w held as
+    codes: (the root's y, divide, lift).  divide(x, y) is (w, child codes)
+    with w = y^(1/3), by curve._divide; lift(c, w) is the y of a child c."""
+    f, rc = params.field, params.a_cuberoot.code
+    mul, add, neg = f.code_mul, f.code_add, f.code_neg
+    neg_a = neg(params.a.code)
+
+    def divide(x: int, y: int) -> tuple:
+        w = f._code_cube_root(y)
+        return w, _divide(params, x, w)
+
+    def lift(c: int, w: int) -> int:
+        d = add(f.code_pow(c, 3), neg_a)
+        g = add(d, neg(mul(rc, add(c, rc))))
+        return mul(mul(w, d), f.code_inv(g))
+
+    return rc, divide, lift
+
+
+def _log_steps(params: CurveParams) -> tuple:
+    """_code_steps on discrete logs, the y's and w's as logs to the table
+    generator g, with the tables bound to locals.  Put n = q - 1, h = n / 2
+    (g^h = -1) and Z the Zech table (g^Z[k] = 1 + g^k, Z[h] = -1 marking
+    0), indices mod n: a product is a sum of logs, a cube root a product
+    by 3^(m-1), and g^p + g^q = g^(p + Z[q - p]).  No y or w is 0 (a node
+    has order a power of 3, not 2).  Codes appear where they must:
+    curve._resolvent's trit, the Artin-Schreier walk of its R, and the
+    child codes.  divide follows curve._divide's closed form: at x = 0 the
+    children are w u, else t + X (1 - u^2) with X = x^(1/3) and
+    t + X = A (1 - 1/X) + X, A = a^(1/3), for u, u + 1, u + 2 solving
+    u^3 - u = R; R != 0, so none of them is 0.  lift carries
+    y = w (c^3 - a) / G(c), where c^3 != a and G(c) != 0."""
+    f = params.field
+    exp, log, zech = f._exp_mv, f._log_mv, f._zech_mv
+    n, third = f.q - 1, f.q // 3
+    h = n >> 1
+    la, lr = log[params.a.code], log[params.a_cuberoot.code]
+    resolvent, artin_schreier = _curve._resolvent, f._code_artin_schreier
+
+    def divide(x: int, ly: int) -> tuple:
+        lw = ly * third % n
+        trit, R, _ = resolvent(params, x, exp[lw])
+        if trit:
+            return lw, []
+        u = artin_schreier(R)
+        if not x:
+            return lw, sorted(exp[(lw + log[v]) % n] for v in (u, u + 1, u + 2))
+        lx = log[x] * third % n
+        z = zech[(h - lx) % n]                  # 1 - 1/X = g^z
+        if z < 0:                               # X = 1, so t + X = X
+            ls = lx
+        else:                                   # A (1 - 1/X) + X, None for 0
+            z2 = zech[(lx - lr - z) % n]
+            ls = None if z2 < 0 else lr + z + z2
+        ln = lx + h                             # -X
+        children = set()
+        for v in (u, u + 1, u + 2):
+            lt = ln + 2 * log[v]
+            if ls is None:
+                children.add(exp[lt % n])
+            else:
+                z = zech[(lt - ls) % n]
+                children.add(0 if z < 0 else exp[(ls + z) % n])
+        return lw, sorted(children)
+
+    def lift(c: int, lw: int) -> int:
+        if c:
+            lc = log[c]
+            ld = 3 * lc + zech[(la + h - 3 * lc) % n]   # c^3 - a
+            z = zech[(lr - lc) % n]                      # c + r = g^(lc + z)
+            lcr = None if z < 0 else lc + z
+        else:
+            ld, lcr = la + h, lr
+        lg = ld if lcr is None else ld + zech[(lr + lcr + h - ld) % n]
+        return (lw + ld - lg) % n
+
+    return lr, divide, lift
 
 
 def cycle_bounds(report: ValuationReport, field: Field) -> Tuple[int, int]:

@@ -171,8 +171,23 @@ def test_packed_inverse_powers_and_cube_root_match_log_tables(m):
         for e in exponents:
             assert _to_code(f._ring.pow(p, e), m) == f.code_pow(a, e)
         assert _to_code(_apply_images(f._cube_root_images, a), m) == f.code_pow(a, 3 ** (m - 1))
+        assert f._code_cube_root(a) == f.code_pow(a, 3 ** (m - 1))
         if a:
             assert _to_code(f._chain_inv(p), m) == f.code_inv(a)
+
+
+@pytest.mark.parametrize("m,modulus", [(m, None) for m in range(2, 8)] + NON_PRIMITIVE_FIELDS,
+                         ids=[f"m{m}" for m in range(2, 8)]
+                         + [f"m{m}-{mod[2:]}" for m, mod in NON_PRIMITIVE_FIELDS])
+def test_cube_root_and_trace_lookups_match_chunk_walks(m, modulus):
+    """With tables, _code_cube_root and _code_trace are lookups; on every
+    code, 0 included, they equal the chunk walks that are the only path
+    past the table cap."""
+    f = Field(m, modulus) if modulus else get_field(m)
+    assert f.log is not None
+    for a in range(f.q):
+        assert f._code_cube_root(a) == _to_code(_apply_images(f._cube_root_images, a), m)
+        assert f._code_trace(a) == _apply_images(f._trace_images, a) % 3
 
 
 @pytest.mark.parametrize("m,modulus", [(m, None) for m in range(2, 8)] + NON_PRIMITIVE_FIELDS,

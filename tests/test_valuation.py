@@ -5,9 +5,10 @@ import pytest
 
 from ksum3 import curve, errors, field, oracle, valuation, verify
 from ksum3.curve import CurveParams
-from ksum3.field import Fe, get_field
+from ksum3.field import Fe, Field, get_field
 from ksum3.valuation import CYCLE, HIT_ORDER_THREE
 from linear_referee import cubic_roots
+from test_packed import NON_PRIMITIVE_FIELDS
 
 
 def check_report_invariants(params, rep):
@@ -352,6 +353,67 @@ def test_descent_matches_cubic_reference_seeded(m, modulus):
             a = a ** 3 - a
         if a:
             assert_descent_matches_cubic(CurveParams.make(f, a), full=m <= 10)
+
+
+# ---------------------------------------------------------------------------
+# the log-table descent against the code-op descent of a table-less field
+# ---------------------------------------------------------------------------
+
+def descent_outcome(params, full):
+    """Levels and edges by code, or the type of the exception raised."""
+    try:
+        g = valuation.descent(params, full)
+    except errors.Ksum3Error as exc:
+        return type(exc)
+    return ([[n.code for n in lv] for lv in g.levels],
+            [(p.code, c.code) for p, c in g.edges])
+
+
+def expands_zero_x(outcome, full):
+    """Whether a graph expanded a node with x = 0: every node under the
+    full policy, the first of each level under the default one."""
+    if isinstance(outcome, type):
+        return False
+    levels = outcome[0]
+    return any(0 in (lv if full else lv[:1]) for lv in levels)
+
+
+def assert_log_descent_matches_code_descent(f, g, codes, policies):
+    """descent on the table field f (log steps) and on its table-less copy
+    g (code steps) agree for each a in codes; returns how many graphs
+    expanded a node with x = 0."""
+    assert f.log is not None and g.log is None
+    zero_x = 0
+    for a in codes:
+        for full in policies:
+            got = descent_outcome(CurveParams.make(f, f.el(a)), full)
+            assert got == descent_outcome(CurveParams.make(g, g.el(a)), full), (a, full)
+            zero_x += expands_zero_x(got, full)
+    return zero_x
+
+
+def test_log_descent_matches_code_descent_exhaustive(tableless):
+    """Every a at m = 2..7 and on the fields whose tables use a searched
+    generator, under both policies; the log steps' x = 0 branch runs."""
+    zero_x = 0
+    for m, modulus in [(m, None) for m in range(2, 8)] + NON_PRIMITIVE_FIELDS:
+        f = Field(m, modulus) if modulus else get_field(m)
+        zero_x += assert_log_descent_matches_code_descent(
+            f, tableless(f), range(1, f.q), (False, True))
+    assert zero_x > 0
+
+
+@pytest.mark.parametrize("m", range(8, 14))
+def test_log_descent_matches_code_descent_seeded(m, tableless):
+    """300 seeded a, every second one w^3 - w (trace zero) to reach deeper
+    levels, under the default policy; the full one up to m = 10, as its
+    graphs grow as 3^t."""
+    f = get_field(m)
+    rng = random.Random(3300 + m)
+    codes = [rng.randrange(1, f.q) for _ in range(300)]
+    codes = [(f.el(c) ** 3 - f.el(c)).code if i % 2 else c for i, c in enumerate(codes)]
+    assert_log_descent_matches_code_descent(f, tableless(f), [c for c in codes if c],
+                                            (False, True) if m <= 10 else (False,))
 
 
 @pytest.mark.parametrize("m", range(8, 14))
