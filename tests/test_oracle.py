@@ -38,6 +38,13 @@ def test_divisible_by_3_and_9_iff_trace_zero(m):
             assert K % 9 in (3, 6)  # = +-3 mod 9
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_weil_bound_and_integrality(m):
+    """Weil bound and full-field sum; the convolution raises on a sum off
+    the rational integers."""
+    verify._weil_and_sum((m,))
+
+
 def test_curve_order_golden(f5):
     assert oracle.curve_order(f5, f5.alpha ** 31) == 243 + 27
 
