@@ -6,11 +6,11 @@
 
 Pair i = 1..N runs each tree's own `perfbench/run.py --trace 0` at seed
 S + i, the parent first in odd pairs and the change first in even ones, so
-that drift in machine speed falls on both sides alike.  Each run prints one
-line.  Then, for each end-to-end metric of CHANGE_DIR's BENCHMARK.json, the
-summary gives each side's median and quartiles and the change's wins over
-the parent run of its pair (ties count for neither), and last each side's
-failed share.  The script only reads perfbench's output: the last line a
+that drift in machine speed falls on both sides alike.  Every run lasts
+the `run_seconds` of CHANGE_DIR's BENCHMARK.json and prints one line.
+Then, for each end-to-end metric of that file, the summary gives each
+side's median and quartiles and the change's wins over the parent run of
+its pair (ties count for neither), and last each side's failed share.  The script only reads perfbench's output: the last line a
 run prints, its JSON result.
 """
 
@@ -78,15 +78,15 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=int, default=30)
     args = ap.parse_args(argv)
-    end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    end_to_end, seconds = bench["end_to_end"], bench["run_seconds"]
     trees = dict(zip(SIDES, (args.parent, args.change)))
     pairs = []
     for i in range(1, args.pairs + 1):
         seed, lines = args.seed + i, {}
         for side in SIDES if i % 2 else SIDES[::-1]:
-            lines[side] = run_once(trees[side], args.workload, seed, args.seconds)
+            lines[side] = run_once(trees[side], args.workload, seed, seconds)
             print(run_line(i, seed, side, lines[side]), flush=True)
         pairs.append((lines["parent"], lines["change"]))
     print("\n".join(summarize(pairs, end_to_end)))
